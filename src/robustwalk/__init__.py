@@ -11,8 +11,8 @@ from .analysis import (
     closed_form_ph,
     closed_form_ph_one_side,
     closed_form_ph_two_sides,
-    compare_series,
     robustness_check,
+    sweep,
 )
 from .chebyshev import (
     GammaParams,
@@ -50,8 +50,6 @@ from .reduced import (
     zero_bar,
 )
 from .schedule import (
-    CONVENTIONS,
-    DEFAULT_CONVENTION,
     AngleSchedule,
     MarkingScenario,
     build_schedule,
@@ -67,8 +65,6 @@ __all__ = [
     "AngleSchedule",
     "BipartiteInstance",
     "CompareRow",
-    "CONVENTIONS",
-    "DEFAULT_CONVENTION",
     "GammaParams",
     "MarkingScenario",
     "PhaseSequence",
@@ -88,7 +84,6 @@ __all__ = [
     "closed_form_ph_two_sides",
     "coin_matrix",
     "collapse_phases",
-    "compare_series",
     "gamma_params",
     "global_phase_deviation",
     "initial_state",
@@ -106,6 +101,7 @@ __all__ = [
     "step_bound",
     "step_bound_threshold",
     "success_probability",
+    "sweep",
     "verify_identities",
     "verify_reduction",
     "zero_bar",

@@ -10,18 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-
-import numpy as np
+from functools import partial
 
 from .chebyshev import chebyshev_t, gamma_params
 from .reduced import build_model, run_reduced
-from .schedule import (
-    DEFAULT_CONVENTION,
-    build_schedule,
-    oscillatory_schedule,
-    scenario_from_counts,
-    step_bound,
-)
+from .schedule import build_schedule, oscillatory_schedule, scenario_from_counts, step_bound
 
 
 def closed_form_ph_one_side(h: int, epsilon: float, ratio_l: float) -> float:
@@ -99,72 +92,55 @@ class RobustnessReport:
         return not self.violations
 
 
-def robustness_check(
-    N_l: int,
-    N_r: int,
-    n_l: int,
-    n_r: int,
+@dataclass(frozen=True)
+class CompareRow:
+    """Success probabilities at step count h; None where a curve was not computed."""
+
+    h: int
+    p_robust: float | None
+    p_oscillatory: float | None
+    p_closed_form: float | None
+
+
+def sweep(
+    walk,
+    counts: tuple[int, int, int, int],
     epsilon: float,
     h_max: int,
-    convention: str = DEFAULT_CONVENTION,
-) -> RobustnessReport:
+    h_min: int = 1,
+    robust: bool = True,
+    oscillatory: bool = True,
+) -> list[CompareRow]:
+    """Per-h success probabilities for h = h_min..h_max.
+
+    ``walk(schedule)`` runs one schedule and returns (state, series), e.g.
+    ``functools.partial(run_reduced, model)``; ``counts`` = (N_l, N_r, n_l,
+    n_r) feed the closed form.  Each robust point (h >= 3) is a fresh h-step
+    run, since the schedule depends on h, paired with its closed form; the
+    oscillatory points come from a single h_max-step trajectory since its
+    angles are constant.
+    """
+    osc = dict(walk(oscillatory_schedule(h_max))[1].entries) if oscillatory else {}
+    rows = []
+    for h in range(h_min, h_max + 1):
+        p_robust = p_closed_form = None
+        if robust and h >= 3:
+            p_robust = walk(build_schedule(h, epsilon))[1].final()
+            p_closed_form = closed_form_ph(h, epsilon, *counts)
+        rows.append(CompareRow(h, p_robust, osc.get(h), p_closed_form))
+    return rows
+
+
+def robustness_check(N_l: int, N_r: int, n_l: int, n_r: int, epsilon: float, h_max: int) -> RobustnessReport:
     """Run the robust schedule for every h from the step bound to h_max and
     assert the 1 - epsilon floor (with 1e-9 slack)."""
     bound = step_bound(N_l, N_r, scenario_from_counts(n_l, n_r), epsilon)
     h_start = max(bound, 3)
     if h_max < h_start:
         raise ValueError(f"h_max {h_max} is below the step bound {h_start}")
-    model = build_model(N_l, N_r, n_l, n_r)
+    counts = (N_l, N_r, n_l, n_r)
+    rows = sweep(partial(run_reduced, build_model(*counts)), counts, epsilon, h_max, h_start, oscillatory=False)
     floor = 1.0 - epsilon
-    min_p, min_h = 2.0, h_start
-    violations = []
-    for h in range(h_start, h_max + 1):
-        _, series = run_reduced(model, build_schedule(h, epsilon, convention))
-        p = series.final()
-        if p < min_p:
-            min_p, min_h = p, h
-        if p < floor - 1e-9:
-            violations.append(h)
-    return RobustnessReport(floor, h_start, h_max, min_p, min_h, violations)
-
-
-@dataclass(frozen=True)
-class CompareRow:
-    h: int
-    p_robust: float
-    p_oscillatory: float
-    p_closed_form: float
-
-
-def compare_series(
-    N_l: int,
-    N_r: int,
-    n_l: int,
-    n_r: int,
-    epsilon: float,
-    h_max: int,
-    convention: str = DEFAULT_CONVENTION,
-) -> list[CompareRow]:
-    """Per-h success probabilities under both schedules plus the closed form.
-
-    Each robust point is a fresh h-step run (the schedule depends on h); the
-    oscillatory points come from a single trajectory since its angles are
-    constant.
-    """
-    if h_max < 3:
-        raise ValueError(f"h_max must be >= 3, got {h_max}")
-    model = build_model(N_l, N_r, n_l, n_r)
-    _, osc = run_reduced(model, oscillatory_schedule(h_max))
-    osc_p = dict(osc.entries)
-    rows = []
-    for h in range(3, h_max + 1):
-        _, robust = run_reduced(model, build_schedule(h, epsilon, convention))
-        rows.append(
-            CompareRow(
-                h=h,
-                p_robust=robust.final(),
-                p_oscillatory=osc_p[h],
-                p_closed_form=closed_form_ph(h, epsilon, N_l, N_r, n_l, n_r),
-            )
-        )
-    return rows
+    worst = min(rows, key=lambda row: row.p_robust)
+    violations = [row.h for row in rows if row.p_robust < floor - 1e-9]
+    return RobustnessReport(floor, h_start, h_max, worst.p_robust, worst.h, violations)

@@ -1,30 +1,30 @@
 """Command-line front end: sweeps, verification, bounds, schedule tables.
 
-Exit codes: 0 success, 1 verification failure, 2 usage/config error.  All
-floating-point output uses 12 significant digits; CSV comment lines begin
-with '#'.
+Exit codes: 0 success; 1 a verification suite failed or a run broke an
+invariant (unitarity drift, reported as 'invariant violation'); 2 a usage or
+config error, raised as ``UsageError`` where the input is parsed or
+validated.  Any other exception is an internal fault and propagates with its
+traceback rather than being reported as a usage error.
+
+All floating-point output uses 12 significant digits; CSV comment lines begin
+with '#'.  The sweep and schedule headers carry a fixed 'convention=appendix-c'
+line or field: the package implements only the Appendix C oracle-angle map
+(see :mod:`robustwalk.schedule`), and the text is kept so that existing
+output files stay byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from functools import partial
 
-from .analysis import closed_form_ph
-from .fullspace import BipartiteInstance
 from . import fullspace
+from .analysis import sweep
+from .fullspace import BipartiteInstance
 from .reduced import build_model, run_reduced
-from .schedule import (
-    CONVENTIONS,
-    DEFAULT_CONVENTION,
-    MarkingScenario,
-    build_schedule,
-    oscillatory_schedule,
-    scenario_from_counts,
-    step_bound,
-    step_bound_threshold,
-)
-from .verification import calibrate_convention, run_all
+from .schedule import MarkingScenario, build_schedule, scenario_from_counts, step_bound, step_bound_threshold
+from .verification import run_all
 
 
 class UsageError(Exception):
@@ -37,15 +37,14 @@ def _fmt(x: float) -> str:
 
 def _parse_marked(value: str):
     """A marked-count flag: either a count ('10') or explicit ids ('0,3,7')."""
-    if "," in value:
-        ids = sorted({int(part) for part in value.split(",") if part.strip() != ""})
-        if any(i < 0 for i in ids):
-            raise UsageError(f"negative vertex id in {value!r}")
-        return ids
-    count = int(value)
-    if count < 0:
-        raise UsageError(f"marked count must be nonnegative, got {count}")
-    return count
+    is_ids = "," in value
+    try:
+        numbers = [int(part) for part in value.split(",") if part.strip() != ""] if is_ids else [int(value)]
+    except ValueError as exc:
+        raise UsageError(f"expected a count or comma-separated vertex ids, got {value!r}") from exc
+    if any(n < 0 for n in numbers):
+        raise UsageError(f"negative vertex id or count in {value!r}")
+    return sorted(set(numbers)) if is_ids else numbers[0]
 
 
 def _marked_set(parsed, side_size: int, flag: str):
@@ -71,7 +70,7 @@ def _load_config(path: str) -> dict:
                     raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
                 key, value = (part.strip() for part in line.split("=", 1))
                 out[key] = value
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return out
 
@@ -85,8 +84,6 @@ _CONFIG_TYPES = {
     "hmax": int,
     "mode": str,
     "engine": str,
-    "convention": str,
-    "seed": int,
     "out": str,
 }
 
@@ -104,14 +101,6 @@ def _apply_config(args: argparse.Namespace) -> None:
                 setattr(args, key, _CONFIG_TYPES[key](raw))
             except ValueError as exc:
                 raise UsageError(f"bad value for config key {key!r}: {raw!r}") from exc
-
-
-def _resolve_convention(requested: str) -> str:
-    if requested == "auto":
-        return calibrate_convention()
-    if requested not in CONVENTIONS:
-        raise UsageError(f"unknown convention {requested!r}")
-    return requested
 
 
 def cmd_sweep(args) -> int:
@@ -132,7 +121,6 @@ def cmd_sweep(args) -> int:
     engine = args.engine or "auto"
     if engine not in ("reduced", "full", "auto"):
         raise UsageError(f"unknown engine {engine!r}")
-    convention = _resolve_convention(args.convention or DEFAULT_CONVENTION)
 
     ml = _parse_marked(args.ml) if args.ml is not None else 0
     mr = _parse_marked(args.mr) if args.mr is not None else 0
@@ -145,39 +133,20 @@ def cmd_sweep(args) -> int:
     if engine == "auto":
         engine = "full" if 2 * nl * nr <= 20000 else "reduced"
 
-    n_l, n_r = instance.n_l, instance.n_r
-    bound = step_bound(nl, nr, scenario_from_counts(n_l, n_r), epsilon)
-    floor = 1.0 - epsilon
-
-    want_robust = mode in ("robust", "both")
-    want_osc = mode in ("oscillatory", "both")
-
-    def final_p(schedule) -> float:
-        if engine == "full":
-            _, series = fullspace.run(instance, schedule)
-        else:
-            _, series = run_reduced(build_model(nl, nr, n_l, n_r), schedule)
-        return series.final()
-
-    osc_by_h = {}
-    if want_osc:
-        if engine == "full":
-            _, series = fullspace.run(instance, oscillatory_schedule(hmax))
-        else:
-            _, series = run_reduced(build_model(nl, nr, n_l, n_r), oscillatory_schedule(hmax))
-        osc_by_h = dict(series.entries)
+    counts = (nl, nr, instance.n_l, instance.n_r)
+    bound = step_bound(nl, nr, scenario_from_counts(instance.n_l, instance.n_r), epsilon)
+    walk = partial(fullspace.run, instance) if engine == "full" else partial(run_reduced, build_model(*counts))
+    rows = sweep(walk, counts, epsilon, hmax, robust=mode != "oscillatory", oscillatory=mode != "robust")
 
     lines = [
-        f"# robustwalk sweep nl={nl} nr={nr} ml={n_l} mr={n_r} "
+        f"# robustwalk sweep nl={nl} nr={nr} ml={instance.n_l} mr={instance.n_r} "
         f"epsilon={_fmt(epsilon)} hmax={hmax} mode={mode} engine={engine}",
-        f"# convention={convention}",
+        "# convention=appendix-c",
         "h,p_robust,p_oscillatory,p_closed_form,bound_h,floor",
     ]
-    for h in range(1, hmax + 1):
-        robust = _fmt(final_p(build_schedule(h, epsilon, convention))) if want_robust and h >= 3 else ""
-        osc = _fmt(osc_by_h[h]) if want_osc else ""
-        closed = _fmt(closed_form_ph(h, epsilon, nl, nr, n_l, n_r)) if want_robust and h >= 3 else ""
-        lines.append(f"{h},{robust},{osc},{closed},{bound},{_fmt(floor)}")
+    for row in rows:
+        cells = ("" if p is None else _fmt(p) for p in (row.p_robust, row.p_oscillatory, row.p_closed_form))
+        lines.append(f"{row.h},{','.join(cells)},{bound},{_fmt(1.0 - epsilon)}")
     text = "\n".join(lines) + "\n"
 
     if args.out and args.out != "-":
@@ -193,6 +162,8 @@ def cmd_verify(args) -> int:
     seed = args.seed if args.seed is not None else 42
     if trials < 1:
         raise UsageError(f"--trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise UsageError(f"--seed must be >= 0, got {seed}")
     coin_builder = None
     if args.corrupt_coin:
         from .reduced import coin_matrix
@@ -243,12 +214,11 @@ def cmd_bound(args) -> int:
 def cmd_schedule(args) -> int:
     h = args.h
     epsilon = args.epsilon if args.epsilon is not None else 0.1
-    convention = _resolve_convention(args.convention or DEFAULT_CONVENTION)
     try:
-        sched = build_schedule(h, epsilon, convention)
+        sched = build_schedule(h, epsilon)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    print(f"# schedule h={h} epsilon={_fmt(epsilon)} parity={sched.parity} convention={convention}")
+    print(f"# schedule h={h} epsilon={_fmt(epsilon)} parity={sched.parity} convention=appendix-c")
     print("k,alpha,beta")
     for k in range(1, h + 1):
         print(f"{k},{_fmt(sched.alpha(k))},{_fmt(sched.beta(k))}")
@@ -271,8 +241,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--hmax", type=int, help="largest step count (default 50)")
     sweep.add_argument("--mode", choices=("robust", "oscillatory", "both"), help="which curves to compute")
     sweep.add_argument("--engine", choices=("reduced", "full", "auto"), help="simulation engine")
-    sweep.add_argument("--convention", choices=CONVENTIONS + ("auto",), help="oracle-angle convention")
-    sweep.add_argument("--seed", type=int, help="recorded in the header; sweeps are deterministic")
     sweep.add_argument("--out", type=str, help="output CSV path ('-' for stdout)")
     sweep.add_argument("--config", type=str, help="key=value config file; flags override it")
     sweep.set_defaults(func=cmd_sweep)
@@ -296,7 +264,6 @@ def build_parser() -> argparse.ArgumentParser:
     schedule = sub.add_parser("schedule", help="print the angle table for given h, epsilon")
     schedule.add_argument("--h", type=int, required=True, help="step count (>= 3)")
     schedule.add_argument("--epsilon", type=float, help="error floor in (0, 1] (default 0.1)")
-    schedule.add_argument("--convention", choices=CONVENTIONS + ("auto",), help="oracle-angle convention")
     schedule.set_defaults(func=cmd_schedule)
 
     return parser
@@ -308,9 +275,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AssertionError as exc:

@@ -1,9 +1,10 @@
 """Naive dense-matrix simulator over the arc basis.
 
-Deliberately independent of :mod:`robustwalk.fullspace`: operators are built
-as explicit matrices straight from their definitions (loops over arcs, no
-shared vectorized code) and applied by plain matrix-vector products.  This is
-the cross-check oracle for the structured simulator, intended for
+Operators are deliberately independent of :mod:`robustwalk.fullspace`: they
+are built as explicit matrices straight from their definitions (loops over
+arcs, no shared vectorized code) and applied by plain matrix-vector products;
+only the step driver (:func:`robustwalk.fullspace.simulate`) is shared.  This
+is the cross-check oracle for the structured simulator, intended for
 2 * N_l * N_r up to a few hundred.
 
 Arc indexing: arc (left u -> right v) sits at u * N_r + v; arc
@@ -14,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fullspace import BipartiteInstance, SuccessSeries
+from .fullspace import BipartiteInstance, simulate
 from .schedule import AngleSchedule
 
 
@@ -63,17 +64,21 @@ def coin_matrix(instance: BipartiteInstance, alpha: float) -> np.ndarray:
     return (1.0 - np.exp(-1j * alpha)) * coin_projector(instance) - np.eye(d, dtype=complex)
 
 
-def oracle_matrix(instance: BipartiteInstance, beta: float) -> np.ndarray:
-    """Diagonal phase e^{i beta} on arcs whose position register is marked."""
-    d = dimension(instance)
-    diag = np.ones(d, dtype=complex)
+def marked_positions(instance: BipartiteInstance) -> np.ndarray:
+    """True on arcs whose position register is marked."""
+    marked = np.zeros(dimension(instance), dtype=bool)
     for u in instance.marked_left:
         for v in range(instance.N_r):
-            diag[left_arc(instance, u, v)] = np.exp(1j * beta)
+            marked[left_arc(instance, u, v)] = True
     for v in instance.marked_right:
         for u in range(instance.N_l):
-            diag[right_arc(instance, v, u)] = np.exp(1j * beta)
-    return np.diag(diag)
+            marked[right_arc(instance, v, u)] = True
+    return marked
+
+
+def oracle_matrix(instance: BipartiteInstance, beta: float) -> np.ndarray:
+    """Diagonal phase e^{i beta} on arcs whose position register is marked."""
+    return np.diag(np.where(marked_positions(instance), np.exp(1j * beta), 1.0 + 0.0j))
 
 
 def initial_vector(instance: BipartiteInstance) -> np.ndarray:
@@ -100,23 +105,27 @@ def run_dense(instance: BipartiteInstance, schedule: AngleSchedule):
     assembled once; each step then multiplies three dense matrices into the
     state.
     """
-    psi = initial_vector(instance)
     mask = marked_arc_mask(instance)
-    d = dimension(instance)
     S = shift_matrix(instance)
     P = coin_projector(instance)
-    eye = np.eye(d, dtype=complex)
-    marked_pos = np.zeros(d, dtype=bool)
-    for u in instance.marked_left:
-        for v in range(instance.N_r):
-            marked_pos[left_arc(instance, u, v)] = True
-    for v in instance.marked_right:
-        for u in range(instance.N_l):
-            marked_pos[right_arc(instance, v, u)] = True
-    series = SuccessSeries(schedule.kind, [(0, float(np.sum(np.abs(psi[mask]) ** 2)))])
-    for k, (alpha, beta) in enumerate(zip(schedule.alphas, schedule.betas), start=1):
-        C = (1.0 - np.exp(-1j * alpha)) * P - eye
-        Q = np.diag(np.where(marked_pos, np.exp(1j * beta), 1.0 + 0.0j))
-        psi = S @ (C @ (Q @ psi))
-        series.entries.append((k, float(np.sum(np.abs(psi[mask]) ** 2))))
-    return psi, series
+    eye = np.eye(dimension(instance), dtype=complex)
+    marked = marked_positions(instance)
+    # The per-step coin and oracle matrices are refilled in place: allocating
+    # and freeing them on every step makes the allocator hand their pages back
+    # to the OS between steps, doubling the cost of a run.
+    C = np.empty_like(P)
+    Q = np.zeros_like(P)
+    diagonal = np.diag_indices_from(Q)
+
+    def step(psi, alpha, beta):
+        np.subtract(np.multiply(1.0 - np.exp(-1j * alpha), P, out=C), eye, out=C)
+        Q[diagonal] = np.where(marked, np.exp(1j * beta), 1.0 + 0.0j)
+        return S @ (C @ (Q @ psi))
+
+    return simulate(
+        initial_vector(instance),
+        step,
+        lambda psi: float(np.sum(np.abs(psi[mask]) ** 2)),
+        np.linalg.norm,
+        schedule,
+    )

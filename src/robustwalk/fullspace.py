@@ -82,6 +82,23 @@ class SuccessSeries:
         return self.entries[-1][1]
 
 
+def simulate(state, step, probability, norm, schedule: AngleSchedule):
+    """Drive one walk: ``state = step(state, alpha, beta)`` per scheduled step.
+
+    ``probability(state)`` gives the success probability and ``norm(state)``
+    the state norm.  Returns the final state and the per-step success series
+    (entry 0 is the initial state).  Raises if unitarity drifts beyond 1e-10.
+    """
+    series = SuccessSeries(schedule.kind, [(0, probability(state))])
+    for k, (alpha, beta) in enumerate(zip(schedule.alphas, schedule.betas), start=1):
+        state = step(state, alpha, beta)
+        nrm = float(norm(state))
+        if abs(nrm - 1.0) > 1e-10:
+            raise AssertionError(f"norm drifted to {nrm!r} at step {k}")
+        series.entries.append((k, probability(state)))
+    return state, series
+
+
 def initial_state(instance: BipartiteInstance) -> StateVector:
     """Uniform superposition over all directed arcs."""
     amp = 1.0 / np.sqrt(2.0 * instance.N_l * instance.N_r)
@@ -140,17 +157,12 @@ def success_probability(state: StateVector, instance: BipartiteInstance) -> floa
 
 
 def run(instance: BipartiteInstance, schedule: AngleSchedule):
-    """Apply the h scheduled steps (oracle, then coin, then shift).
-
-    Returns the final state and the per-step success series (entry 0 is the
-    initial state).  Raises if unitarity drifts beyond 1e-10.
-    """
-    state = initial_state(instance)
-    series = SuccessSeries(schedule.kind, [(0, success_probability(state, instance))])
-    for k, (alpha, beta) in enumerate(zip(schedule.alphas, schedule.betas), start=1):
-        state = apply_shift(apply_coin(apply_oracle(state, beta, instance), alpha))
-        nrm = state.norm()
-        if abs(nrm - 1.0) > 1e-10:
-            raise AssertionError(f"norm drifted to {nrm!r} at step {k}")
-        series.entries.append((k, success_probability(state, instance)))
-    return state, series
+    """Apply the h scheduled steps (oracle, then coin, then shift); see
+    :func:`simulate` for the return value and the unitarity check."""
+    return simulate(
+        initial_state(instance),
+        lambda state, alpha, beta: apply_shift(apply_coin(apply_oracle(state, beta, instance), alpha)),
+        lambda state: success_probability(state, instance),
+        StateVector.norm,
+        schedule,
+    )

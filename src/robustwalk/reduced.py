@@ -24,7 +24,7 @@ import numpy as np
 
 from . import fullspace
 from .chebyshev import collapse_phases
-from .fullspace import BipartiteInstance, StateVector, SuccessSeries
+from .fullspace import BipartiteInstance, StateVector, simulate
 from .schedule import AngleSchedule
 
 # Components whose first or second register is marked, per dimension.
@@ -40,20 +40,27 @@ class ReducedModel:
 
     ``mirrored`` records that the sides were exchanged so that the marked side
     (for one-sided marking) is the left one; the walk's success series is
-    invariant under that swap.  cos/sin of the class-mixing angles are stored
-    exactly from the counts: cos(omega1) = 1 - 2 n_l / N_l, x1 = cos(omega1/2).
+    invariant under that swap.  The class-mixing angles omega1/omega2 and
+    their cos/sin are derived from the counts: cos(omega1) = 1 - 2 n_l / N_l.
     """
 
-    dim: int
     N_l: int
     N_r: int
     n_l: int
     n_r: int
     mirrored: bool
-    omega1: float
-    x1: float
-    omega2: float | None = None
-    x2: float | None = None
+
+    @property
+    def dim(self) -> int:
+        return 4 if self.n_r == 0 else 8
+
+    @property
+    def omega1(self) -> float:
+        return math.acos(1.0 - 2.0 * self.n_l / self.N_l)
+
+    @property
+    def omega2(self) -> float:
+        return math.acos(1.0 - 2.0 * self.n_r / self.N_r)
 
     @property
     def cos_w1(self) -> float:
@@ -80,17 +87,9 @@ def build_model(N_l: int, N_r: int, n_l: int, n_r: int) -> ReducedModel:
         raise ValueError("marked counts out of range")
     if n_l == 0 and n_r == 0:
         raise ValueError("nothing to search: no marked vertices")
-    mirrored = n_l == 0
-    if mirrored:
-        N_l, N_r, n_l, n_r = N_r, N_l, n_r, n_l
-    dim = 4 if n_r == 0 else 8
-    omega1 = math.acos(1.0 - 2.0 * n_l / N_l)
-    x1 = math.sqrt(1.0 - n_l / N_l)
-    if dim == 4:
-        return ReducedModel(dim, N_l, N_r, n_l, n_r, mirrored, omega1, x1)
-    omega2 = math.acos(1.0 - 2.0 * n_r / N_r)
-    x2 = math.sqrt(1.0 - n_r / N_r)
-    return ReducedModel(dim, N_l, N_r, n_l, n_r, mirrored, omega1, x1, omega2, x2)
+    if n_l == 0:
+        return ReducedModel(N_r, N_l, n_r, n_l, True)
+    return ReducedModel(N_l, N_r, n_l, n_r, False)
 
 
 def reduced_initial_state(model: ReducedModel) -> np.ndarray:
@@ -212,15 +211,13 @@ def reduced_success_probability(state: np.ndarray, model: ReducedModel) -> float
 def run_reduced(model: ReducedModel, schedule: AngleSchedule):
     """Apply the scheduled steps inside the invariant subspace."""
     S = shift_matrix(model)
-    state = reduced_initial_state(model)
-    series = SuccessSeries(schedule.kind, [(0, reduced_success_probability(state, model))])
-    for k, (alpha, beta) in enumerate(zip(schedule.alphas, schedule.betas), start=1):
-        state = S @ (coin_matrix(model, alpha) @ (oracle_matrix(model, beta) @ state))
-        nrm = float(np.linalg.norm(state))
-        if abs(nrm - 1.0) > 1e-10:
-            raise AssertionError(f"norm drifted to {nrm!r} at step {k}")
-        series.entries.append((k, reduced_success_probability(state, model)))
-    return state, series
+    return simulate(
+        reduced_initial_state(model),
+        lambda state, alpha, beta: S @ (coin_matrix(model, alpha) @ (oracle_matrix(model, beta) @ state)),
+        lambda state: reduced_success_probability(state, model),
+        np.linalg.norm,
+        schedule,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,16 @@
 """Coin/oracle angle schedules and the step-count bounds.
 
-A schedule depends only on (h, epsilon, convention) -- never on the graph or
-the marked sets.  The coin angles follow the arccot formulas on the h grid
-(odd h) or the interleaved h+1 / h-1 grids (even h).  The oracle angles are an
-index-remapped negation of the coin angles; two published variants of that
-mapping exist for odd h and both are implemented behind ``convention``.
-Small-instance calibration against the closed-form success probability selects
-'appendix-c' (see ``analysis`` / the verify CLI), which is the default.
+A schedule depends only on (h, epsilon) -- never on the graph or the marked
+sets.  The coin angles follow the arccot formulas on the h grid (odd h) or the
+interleaved h+1 / h-1 grids (even h).  The oracle angles are an index-remapped
+negation of the coin angles.
+
+For odd h the paper gives two different beta index maps: the main text
+assigns beta_i = -alpha_{h+2-i} to odd i and -alpha_{h-i} to even i, while
+Appendix C swaps those parity roles.  Only the Appendix C map reproduces the
+closed-form success probability (the main-text map is off by more than 1e-3
+at h = 5), so it is the one implemented here; the closed-form verification
+suite is the guard against a wrong map.
 """
 
 from __future__ import annotations
@@ -17,9 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chebyshev import GammaParams, arccot, gamma_params
-
-CONVENTIONS = ("appendix-c", "main-text")
-DEFAULT_CONVENTION = "appendix-c"
 
 
 @dataclass(frozen=True)
@@ -37,7 +38,6 @@ class AngleSchedule:
     alphas: np.ndarray
     betas: np.ndarray
     parity: str
-    convention: str | None
     gamma_set: GammaParams | tuple[GammaParams, GammaParams] | None
     kind: str
 
@@ -54,19 +54,20 @@ class AngleSchedule:
         return float(self.betas[k - 1])
 
 
-def build_schedule(h: int, epsilon: float, convention: str = DEFAULT_CONVENTION) -> AngleSchedule:
+def build_schedule(h: int, epsilon: float) -> AngleSchedule:
     """Build the robust h-step schedule for error floor epsilon.
 
     Odd h uses one gamma on the k pi / h grid; even h interleaves gamma_1 on
     the k pi / (h+1) grid (even steps) with gamma_2 on the (k-1) pi / (h-1)
-    grid (odd steps).  alpha_1 and beta_h are free and set to 0.
+    grid (odd steps).  The oracle angles negate the coin angles under an index
+    map: odd h takes beta_i = -alpha_{h+2-i} for even i and -alpha_{h-i} for
+    odd i <= h-2 (Appendix C); even h takes beta_i = -alpha_{h+1-i}.
+    alpha_1 and beta_h are free and set to 0.
     """
     if h < 3:
         raise ValueError(f"robust schedules need h >= 3, got {h}")
-    if convention not in CONVENTIONS:
-        raise ValueError(f"unknown convention {convention!r}; expected one of {CONVENTIONS}")
-
     a = np.zeros(h + 1)  # 1-indexed scratch; slot 0 unused
+    b = np.zeros(h + 1)
     if h % 2 == 1:
         gset = gamma_params(h, epsilon)
         spread = math.sqrt(max(0.0, 1.0 - gset.gamma**2))
@@ -74,7 +75,10 @@ def build_schedule(h: int, epsilon: float, convention: str = DEFAULT_CONVENTION)
             a[k] = 2.0 * arccot(math.tan(k * math.pi / h) * spread)
         for k in range(3, h + 1, 2):
             a[k] = 2.0 * arccot(math.tan((k - 1) * math.pi / h) * spread)
-        b = _betas_odd(h, a, convention)
+        for i in range(2, h, 2):
+            b[i] = -a[h + 2 - i]
+        for i in range(1, h - 1, 2):
+            b[i] = -a[h - i]
         parity = "odd"
     else:
         g1 = gamma_params(h + 1, epsilon)
@@ -85,7 +89,6 @@ def build_schedule(h: int, epsilon: float, convention: str = DEFAULT_CONVENTION)
             a[k] = 2.0 * arccot(math.tan(k * math.pi / (h + 1)) * s1)
         for k in range(3, h, 2):
             a[k] = 2.0 * arccot(math.tan((k - 1) * math.pi / (h - 1)) * s2)
-        b = np.zeros(h + 1)
         for k in range(1, h):
             b[k] = -a[h + 1 - k]
         gset = (g1, g2)
@@ -97,35 +100,9 @@ def build_schedule(h: int, epsilon: float, convention: str = DEFAULT_CONVENTION)
         alphas=a[1:].copy(),
         betas=b[1:].copy(),
         parity=parity,
-        convention=convention,
         gamma_set=gset,
         kind="robust",
     )
-
-
-def _betas_odd(h: int, a: np.ndarray, convention: str) -> np.ndarray:
-    """Oracle angles for odd h from the 1-indexed coin-angle scratch array.
-
-    'appendix-c': beta_i = -alpha_{h+2-i} for even i, -alpha_{h-i} for odd
-    i <= h-2.  'main-text' swaps the parity roles of those index maps
-    (beta_i = -alpha_{h+2-i} for odd i, -alpha_{h-i} for even i); the two
-    indices it leaves uncovered (i = 1 and i = h-1) take the 'appendix-c'
-    assignments.  beta_h is free and set to 0 in both.
-    """
-    b = np.zeros(h + 1)
-    if convention == "appendix-c":
-        for i in range(2, h, 2):
-            b[i] = -a[h + 2 - i]
-        for i in range(1, h - 1, 2):
-            b[i] = -a[h - i]
-    else:
-        for i in range(3, h - 1, 2):
-            b[i] = -a[h + 2 - i]
-        for i in range(2, h - 2, 2):
-            b[i] = -a[h - i]
-        b[1] = -a[h - 1]
-        b[h - 1] = -a[3]
-    return b
 
 
 def oscillatory_schedule(h: int) -> AngleSchedule:
@@ -139,7 +116,6 @@ def oscillatory_schedule(h: int) -> AngleSchedule:
         alphas=angles,
         betas=angles.copy(),
         parity="odd" if h % 2 else "even",
-        convention=None,
         gamma_set=None,
         kind="oscillatory",
     )

@@ -11,14 +11,15 @@ Four suites, each reporting a max deviation against its tolerance:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import dense, fullspace
-from .analysis import closed_form_ph
+from .analysis import sweep
 from .fullspace import BipartiteInstance
 from .reduced import build_model, run_reduced, verify_identities, verify_reduction
-from .schedule import DEFAULT_CONVENTION, build_schedule, oscillatory_schedule
+from .schedule import build_schedule, oscillatory_schedule
 
 IDENTITY_MODELS = {
     4: ((5, 4, 1, 0), (7, 5, 3, 0), (4, 4, 4, 0)),
@@ -55,18 +56,14 @@ def identity_suite(trials: int, seed: int = 42, coin_builder=None) -> list[Suite
     ]
 
 
-def reduction_suite(
-    hs=(3, 4, 5, 6, 7, 8, 9),
-    epsilons=(0.1, 0.5),
-    convention: str = DEFAULT_CONVENTION,
-) -> SuiteResult:
+def reduction_suite(hs=(3, 4, 5, 6, 7, 8, 9), epsilons=(0.1, 0.5)) -> SuiteResult:
     """Final state vs its R/A product form, both parities and dimensions."""
     worst, worst_case = 0.0, ""
     for dim, counts in REDUCTION_MODELS.items():
         model = build_model(*counts)
         for h in hs:
             for eps in epsilons:
-                report = verify_reduction(model, build_schedule(h, eps, convention))
+                report = verify_reduction(model, build_schedule(h, eps))
                 if report["deviation"] > worst:
                     worst, worst_case = report["deviation"], f"dim={dim} h={h} eps={eps}"
     return SuiteResult("reduction forms", worst, 1e-9, worst_case)
@@ -98,7 +95,6 @@ def engine_suite(
     max_double_dim: int = 128,
     sample: int | None = None,
     seed: int = 42,
-    convention: str = DEFAULT_CONVENTION,
 ) -> SuiteResult:
     """Structured vs dense vs reduced success series on small instances,
     under both the robust and the oscillatory schedule."""
@@ -107,7 +103,7 @@ def engine_suite(
         rng = np.random.default_rng(seed)
         idx = rng.choice(len(instances), size=sample, replace=False)
         instances = [instances[i] for i in sorted(idx)]
-    schedules = [build_schedule(h, epsilon, convention), oscillatory_schedule(h)]
+    schedules = [build_schedule(h, epsilon), oscillatory_schedule(h)]
     worst, worst_case = 0.0, ""
     for inst in instances:
         model = build_model(inst.N_l, inst.N_r, inst.n_l, inst.n_r)
@@ -127,46 +123,22 @@ def engine_suite(
 
 
 def closed_form_suite(
-    hs=tuple(range(3, 21)),
+    hs=range(3, 21),
     epsilons=(0.05, 0.1, 0.5, 1.0),
     count_sets=((30, 20, 1, 0), (17, 40, 3, 0), (50, 11, 10, 0), (8, 6, 1, 1), (12, 50, 2, 3)),
-    convention: str = DEFAULT_CONVENTION,
 ) -> SuiteResult:
-    """Reduced simulation vs closed form over the (h, eps, counts) grid."""
+    """Reduced simulation vs closed form over the (h, eps, counts) grid;
+    ``hs`` is a contiguous range of step counts >= 3."""
     worst, worst_case, points = 0.0, "", 0
     for counts in count_sets:
-        model = build_model(*counts)
+        walk = partial(run_reduced, build_model(*counts))
         for eps in epsilons:
-            for h in hs:
-                _, series = run_reduced(model, build_schedule(h, eps, convention))
-                dev = abs(series.final() - closed_form_ph(h, eps, *counts))
+            for row in sweep(walk, counts, eps, max(hs), min(hs), oscillatory=False):
+                dev = abs(row.p_robust - row.p_closed_form)
                 points += 1
                 if dev > worst:
-                    worst, worst_case = dev, f"counts={counts} h={h} eps={eps}"
+                    worst, worst_case = dev, f"counts={counts} h={row.h} eps={eps}"
     return SuiteResult("closed-form equivalence", worst, 1e-9, f"{points} grid points; worst {worst_case}")
-
-
-def calibrate_convention(epsilons=(0.1, 0.5), hs=(5, 7, 4, 6), counts=(7, 5, 2, 0)) -> str:
-    """Pick the oracle-angle convention that reproduces the closed form.
-
-    Runs the reduced simulation under each convention on a small grid and
-    returns the one within 1e-9 of the closed form everywhere (odd h >= 5
-    distinguishes the two; even h does not).
-    """
-    model = build_model(*counts)
-    for convention in ("appendix-c", "main-text"):
-        ok = True
-        for eps in epsilons:
-            for h in hs:
-                _, series = run_reduced(model, build_schedule(h, eps, convention))
-                if abs(series.final() - closed_form_ph(h, eps, *counts)) > 1e-9:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            return convention
-    raise AssertionError("no oracle-angle convention reproduces the closed form")
 
 
 def run_all(trials: int, seed: int, quick: bool = True, coin_builder=None) -> list[SuiteResult]:

@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from robustwalk.analysis import (
     closed_form_ph,
     closed_form_ph_one_side,
     closed_form_ph_two_sides,
-    compare_series,
     robustness_check,
+    sweep,
 )
 from robustwalk.chebyshev import chebyshev_t, gamma_params
 from robustwalk.reduced import build_model, run_reduced
@@ -98,18 +99,36 @@ def test_oscillatory_violates_floor_on_fig_instance():
     assert min(probs[h] for h in range(16, 61)) < 0.9
 
 
-def test_compare_series_single_row():
-    rows = compare_series(8, 6, 2, 0, epsilon=0.2, h_max=3)
+def reduced_walk(counts):
+    return partial(run_reduced, build_model(*counts))
+
+
+def test_sweep_single_row():
+    counts = (8, 6, 2, 0)
+    rows = sweep(reduced_walk(counts), counts, epsilon=0.2, h_max=3, h_min=3)
     assert len(rows) == 1
     assert rows[0].h == 3
+    assert None not in (rows[0].p_robust, rows[0].p_oscillatory, rows[0].p_closed_form)
 
 
-def test_compare_series_fig_shapes():
+def test_sweep_leaves_uncomputed_curves_empty():
+    counts = (8, 6, 2, 0)
+    rows = sweep(reduced_walk(counts), counts, epsilon=0.2, h_max=5, robust=False)
+    assert [r.h for r in rows] == [1, 2, 3, 4, 5]
+    assert all(r.p_robust is None and r.p_closed_form is None for r in rows)
+    assert all(r.p_oscillatory is not None for r in rows)
+    rows = sweep(reduced_walk(counts), counts, epsilon=0.2, h_max=5, oscillatory=False)
+    assert all(r.p_oscillatory is None for r in rows)
+    # no robust schedule exists below h = 3
+    assert [r.p_robust is None for r in rows] == [True, True, False, False, False]
+
+
+def test_sweep_fig_shapes():
     from robustwalk.schedule import scenario_from_counts, step_bound
 
     for counts in ((600, 1000, 10, 0), (1000, 600, 10, 0)):
         N_l, N_r, n_l, n_r = counts
-        rows = compare_series(*counts, epsilon=0.1, h_max=40)
+        rows = sweep(reduced_walk(counts), counts, epsilon=0.1, h_max=40, h_min=3)
         for row in rows:
             assert row.p_robust == pytest.approx(row.p_closed_form, abs=1e-9)
         bound = step_bound(N_l, N_r, scenario_from_counts(n_l, n_r), 0.1)

@@ -101,7 +101,7 @@ def test_sweep_engines_agree_after_rounding(capsys):
 
 
 def test_sweep_is_deterministic(capsys):
-    args = ["sweep", "--nl", "6", "--nr", "5", "--ml", "2", "--mr", "1", "--hmax", "6", "--seed", "3"]
+    args = ["sweep", "--nl", "6", "--nr", "5", "--ml", "2", "--mr", "1", "--hmax", "6"]
     _, first, _ = run_cli(capsys, *args)
     _, second, _ = run_cli(capsys, *args)
     assert first == second
@@ -156,6 +156,66 @@ def test_sweep_rejects_unknown_config_key(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("frobnicate=1\n")
     code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 2
+
+
+@pytest.mark.parametrize("flag,value", [("--ml", "abc"), ("--ml", "1,x"), ("--mr", "2.5")])
+def test_sweep_rejects_non_integer_marked(capsys, flag, value):
+    code, _, err = run_cli(capsys, "sweep", "--nl", "5", "--nr", "4", flag, value, "--hmax", "4")
+    assert code == 2
+    assert "error" in err
+
+
+def test_sweep_rejects_non_utf8_config(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"nl=5\nnr=4\n# caf\xe9\n")
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 2
+    assert "cannot read config file" in err
+
+
+@pytest.mark.parametrize("option", ["--convention", "--seed"])
+def test_sweep_has_no_convention_or_seed_option(capsys, option):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--nl", "5", "--nr", "4", "--ml", "1", option, "3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("key", ["convention", "seed"])
+def test_sweep_rejects_removed_config_keys(tmp_path, capsys, key):
+    cfg = tmp_path / "old.cfg"
+    cfg.write_text(f"nl=5\nnr=4\nml=1\nhmax=4\n{key}=3\n")
+    code, _, err = run_cli(capsys, "sweep", "--config", str(cfg))
+    assert code == 2
+    assert "unknown config key" in err
+
+
+def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
+    from robustwalk import reduced
+
+    def broken_coin(model, alpha):
+        raise ValueError("internal fault")
+
+    monkeypatch.setattr(reduced, "coin_matrix", broken_coin)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(["sweep", "--nl", "5", "--nr", "4", "--ml", "1", "--hmax", "4", "--engine", "reduced"])
+
+
+def test_sweep_norm_drift_exits_1(monkeypatch, capsys):
+    from robustwalk import reduced
+
+    original = reduced.shift_matrix
+    monkeypatch.setattr(reduced, "shift_matrix", lambda model: 1.001 * original(model))
+    code, out, err = run_cli(
+        capsys, "sweep", "--nl", "5", "--nr", "4", "--ml", "1", "--hmax", "4", "--engine", "reduced"
+    )
+    assert code == 1
+    assert out == ""
+    assert "invariant violation" in err and "at step 1" in err
+
+
+def test_verify_rejects_negative_seed(capsys):
+    code, _, err = run_cli(capsys, "verify", "--trials", "1", "--seed", "-1")
     assert code == 2
 
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from robustwalk import dense
+from robustwalk import dense, fullspace, reduced
 from robustwalk.fullspace import (
     BipartiteInstance,
     StateVector,
@@ -30,7 +30,6 @@ def random_schedule(rng, h):
         alphas=rng.uniform(-np.pi, np.pi, h),
         betas=rng.uniform(-np.pi, np.pi, h),
         parity="odd" if h % 2 else "even",
-        convention=None,
         gamma_set=None,
         kind="oscillatory",
     )
@@ -162,7 +161,7 @@ def test_success_probability_uniform_counting():
 
 def test_run_empty_schedule_reports_initial_probability():
     inst = BipartiteInstance.from_counts(4, 3, 1, 1)
-    empty = AngleSchedule(0, None, np.zeros(0), np.zeros(0), "even", None, None, "oscillatory")
+    empty = AngleSchedule(0, None, np.zeros(0), np.zeros(0), "even", None, "oscillatory")
     _, series = run(inst, empty)
     assert series.entries == [(0, success_probability(initial_state(inst), inst))]
 
@@ -215,3 +214,37 @@ def test_norm_preserved_over_long_random_run():
     inst = BipartiteInstance.from_counts(7, 5, 2, 1)
     state, _ = run(inst, random_schedule(rng, 100))
     assert state.norm() == pytest.approx(1.0, abs=1e-10)
+
+
+# Each helper scales one operator of an engine by 1.001 and returns the
+# engine's run function.
+
+def _stretch_full(monkeypatch):
+    original = fullspace.apply_shift
+
+    def stretched(state):
+        out = original(state)
+        return StateVector(1.001 * out.lr, 1.001 * out.rl)
+
+    monkeypatch.setattr(fullspace, "apply_shift", stretched)
+    return run
+
+
+def _stretch_reduced(monkeypatch):
+    original = reduced.shift_matrix
+    monkeypatch.setattr(reduced, "shift_matrix", lambda model: 1.001 * original(model))
+    return lambda inst, sched: reduced.run_reduced(reduced.build_model(inst.N_l, inst.N_r, inst.n_l, inst.n_r), sched)
+
+
+def _stretch_dense(monkeypatch):
+    original = dense.shift_matrix
+    monkeypatch.setattr(dense, "shift_matrix", lambda inst: 1.001 * original(inst))
+    return dense.run_dense
+
+
+@pytest.mark.parametrize("stretch", [_stretch_full, _stretch_reduced, _stretch_dense], ids=["full", "reduced", "dense"])
+def test_non_unitary_step_is_caught_naming_the_step(monkeypatch, stretch):
+    engine = stretch(monkeypatch)
+    inst = BipartiteInstance.from_counts(4, 3, 1, 1)
+    with pytest.raises(AssertionError, match=r"norm drifted to .* at step 1$"):
+        engine(inst, build_schedule(5, 0.1))

@@ -50,14 +50,14 @@ def test_build_model_one_side():
 def test_build_model_all_left_marked():
     m = build_model(4, 4, 4, 0)
     assert m.omega1 == pytest.approx(math.pi, abs=1e-12)
-    assert m.x1 == 0.0
+    assert m.sin_w1 == 0.0
 
 
 def test_build_model_two_sides():
     m = build_model(600, 1000, 10, 5)
     assert m.dim == 8
     assert m.cos_w2 == pytest.approx(1 - 10 / 1000, abs=1e-15)
-    assert m.x2 == pytest.approx(math.sqrt(1 - 5 / 1000), abs=1e-15)
+    assert m.omega2 == pytest.approx(math.acos(1 - 10 / 1000), abs=1e-14)
 
 
 def test_build_model_mirrors_right_only_marking():
@@ -243,7 +243,8 @@ def test_rotation_inverse_pair():
 
 
 def test_mixer_at_zero_angle_and_zero_mixing():
-    flat = ReducedModel(dim=4, N_l=5, N_r=4, n_l=0, n_r=0, mirrored=False, omega1=0.0, x1=1.0)
+    flat = ReducedModel(N_l=5, N_r=4, n_l=0, n_r=0, mirrored=False)
+    assert flat.dim == 4 and flat.omega1 == 0.0
     np.testing.assert_allclose(mixer_a(flat, 0.0), np.eye(4), atol=1e-15)
 
 

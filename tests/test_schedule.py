@@ -5,7 +5,6 @@ import pytest
 
 from robustwalk.chebyshev import arccot, gamma_params
 from robustwalk.schedule import (
-    CONVENTIONS,
     MarkingScenario,
     build_schedule,
     oscillatory_schedule,
@@ -16,14 +15,13 @@ from robustwalk.schedule import (
 
 
 def test_epsilon_one_gives_pi_coin_angles():
-    for conv in CONVENTIONS:
-        s = build_schedule(5, 1.0, conv)
-        for k in range(2, 6):
-            assert s.alpha(k) == pytest.approx(math.pi, abs=1e-12)
-        for k in range(1, 5):
-            assert s.beta(k) == pytest.approx(-math.pi, abs=1e-12)
-        assert s.alpha(1) == 0.0
-        assert s.beta(5) == 0.0
+    s = build_schedule(5, 1.0)
+    for k in range(2, 6):
+        assert s.alpha(k) == pytest.approx(math.pi, abs=1e-12)
+    for k in range(1, 5):
+        assert s.beta(k) == pytest.approx(-math.pi, abs=1e-12)
+    assert s.alpha(1) == 0.0
+    assert s.beta(5) == 0.0
 
 
 def test_odd_alpha_frozen_value():
@@ -64,30 +62,15 @@ def test_defined_angles_in_range():
 
 def test_betas_are_index_remapped_negations():
     for h in (5, 9, 13):
-        s = build_schedule(h, 0.2, "appendix-c")
+        s = build_schedule(h, 0.2)
         for i in range(2, h, 2):
             assert s.beta(i) == -s.alpha(h + 2 - i)
         for i in range(1, h - 1, 2):
             assert s.beta(i) == -s.alpha(h - i)
-        m = build_schedule(h, 0.2, "main-text")
-        for j in range(3, h - 1, 2):
-            assert m.beta(j) == -m.alpha(h + 2 - j)
-        for j in range(2, h - 2, 2):
-            assert m.beta(j) == -m.alpha(h - j)
-        assert m.beta(1) == -m.alpha(h - 1)
-        assert m.beta(h - 1) == -m.alpha(3)
     for h in (4, 8, 12):
-        for conv in CONVENTIONS:
-            s = build_schedule(h, 0.2, conv)
-            for k in range(1, h):
-                assert s.beta(k) == -s.alpha(h + 1 - k)
-
-
-def test_conventions_coincide_for_h3_and_even_h():
-    for h in (3, 4, 6):
-        a = build_schedule(h, 0.1, "appendix-c")
-        b = build_schedule(h, 0.1, "main-text")
-        np.testing.assert_allclose(a.betas, b.betas, atol=0)
+        s = build_schedule(h, 0.2)
+        for k in range(1, h):
+            assert s.beta(k) == -s.alpha(h + 1 - k)
 
 
 def test_schedule_depends_only_on_h_eps_convention():
@@ -105,8 +88,6 @@ def test_rejects_small_h_and_bad_epsilon():
         build_schedule(5, 0.0)
     with pytest.raises(ValueError):
         build_schedule(5, 1.2)
-    with pytest.raises(ValueError):
-        build_schedule(5, 0.1, "bogus")
 
 
 def test_oscillatory_is_all_pi():

@@ -1,10 +1,11 @@
-import pytest
+import dataclasses
+
+import numpy as np
 
 from robustwalk.analysis import closed_form_ph
 from robustwalk.reduced import build_model, run_reduced
 from robustwalk.schedule import build_schedule
 from robustwalk.verification import (
-    calibrate_convention,
     closed_form_suite,
     engine_suite,
     identity_suite,
@@ -13,15 +14,31 @@ from robustwalk.verification import (
 )
 
 
-def test_calibration_selects_working_convention():
-    assert calibrate_convention() == "appendix-c"
+def main_text_betas(alphas):
+    """The paper's main-text odd-h oracle-angle map, which swaps the parity
+    roles of the Appendix C map; i = 1 and i = h-1 keep their Appendix C
+    assignments."""
+    h = len(alphas)
+    a = np.concatenate([[0.0], alphas])  # 1-indexed
+    b = np.zeros(h + 1)
+    for i in range(3, h - 1, 2):
+        b[i] = -a[h + 2 - i]
+    for i in range(2, h - 2, 2):
+        b[i] = -a[h - i]
+    b[1] = -a[h - 1]
+    b[h - 1] = -a[3]
+    return b[1:]
 
 
 def test_rejected_convention_fails_closed_form():
-    # the alternative oracle-angle assignment visibly breaks the closed form
+    # the alternative oracle-angle assignment visibly breaks the closed form,
+    # so the closed-form suite guards the implemented map
     counts = (7, 5, 2, 0)
     model = build_model(*counts)
-    _, series = run_reduced(model, build_schedule(5, 0.1, "main-text"))
+    appendix_c = build_schedule(5, 0.1)
+    main_text = dataclasses.replace(appendix_c, betas=main_text_betas(appendix_c.alphas))
+    assert not np.array_equal(main_text.betas, appendix_c.betas)
+    _, series = run_reduced(model, main_text)
     assert abs(series.final() - closed_form_ph(5, 0.1, *counts)) > 1e-3
 
 
