@@ -150,8 +150,11 @@ def cmd_sweep(args) -> int:
     text = "\n".join(lines) + "\n"
 
     if args.out and args.out != "-":
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write output file {args.out}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0

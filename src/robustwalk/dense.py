@@ -1,11 +1,12 @@
 """Naive dense-matrix simulator over the arc basis.
 
 Operators are deliberately independent of :mod:`robustwalk.fullspace`: they
-are built as explicit matrices straight from their definitions (loops over
-arcs, no shared vectorized code) and applied by plain matrix-vector products;
-only the step driver (:func:`robustwalk.fullspace.simulate`) is shared.  This
-is the cross-check oracle for the structured simulator, intended for
-2 * N_l * N_r up to a few hundred.
+are built as explicit matrices straight from their definitions (index grids
+over the arcs, addressed through :func:`left_arc` and :func:`right_arc`; no
+code shared with the structured simulator) and applied by plain matrix-vector
+products; only the step driver (:func:`robustwalk.fullspace.simulate`) is
+shared.  This is the cross-check oracle for the structured simulator, intended
+for 2 * N_l * N_r up to a few hundred.
 
 Arc indexing: arc (left u -> right v) sits at u * N_r + v; arc
 (right v -> left u) sits at N_l * N_r + v * N_l + u.
@@ -30,16 +31,20 @@ def right_arc(instance: BipartiteInstance, v: int, u: int) -> int:
     return instance.N_l * instance.N_r + v * instance.N_l + u
 
 
+def _grid(*sizes):
+    """Broadcastable index grids: one axis per size, in order."""
+    return np.ix_(*(np.arange(n) for n in sizes))
+
+
 def shift_matrix(instance: BipartiteInstance) -> np.ndarray:
     """Permutation matrix swapping arc (u, v) with arc (v, u)."""
     d = dimension(instance)
     S = np.zeros((d, d), dtype=complex)
-    for u in range(instance.N_l):
-        for v in range(instance.N_r):
-            i = left_arc(instance, u, v)
-            j = right_arc(instance, v, u)
-            S[j, i] = 1.0
-            S[i, j] = 1.0
+    u, v = _grid(instance.N_l, instance.N_r)
+    i = left_arc(instance, u, v)
+    j = right_arc(instance, v, u)
+    S[j, i] = 1.0
+    S[i, j] = 1.0
     return S
 
 
@@ -47,14 +52,10 @@ def coin_projector(instance: BipartiteInstance) -> np.ndarray:
     """Block-diagonal sum of |s_u><s_u| over all positions u."""
     d = dimension(instance)
     P = np.zeros((d, d), dtype=complex)
-    for u in range(instance.N_l):
-        for v in range(instance.N_r):
-            for w in range(instance.N_r):
-                P[left_arc(instance, u, v), left_arc(instance, u, w)] = 1.0 / instance.N_r
-    for v in range(instance.N_r):
-        for u in range(instance.N_l):
-            for w in range(instance.N_l):
-                P[right_arc(instance, v, u), right_arc(instance, v, w)] = 1.0 / instance.N_l
+    u, v, w = _grid(instance.N_l, instance.N_r, instance.N_r)
+    P[left_arc(instance, u, v), left_arc(instance, u, w)] = 1.0 / instance.N_r
+    v, u, w = _grid(instance.N_r, instance.N_l, instance.N_l)
+    P[right_arc(instance, v, u), right_arc(instance, v, w)] = 1.0 / instance.N_l
     return P
 
 
@@ -67,12 +68,10 @@ def coin_matrix(instance: BipartiteInstance, alpha: float) -> np.ndarray:
 def marked_positions(instance: BipartiteInstance) -> np.ndarray:
     """True on arcs whose position register is marked."""
     marked = np.zeros(dimension(instance), dtype=bool)
-    for u in instance.marked_left:
-        for v in range(instance.N_r):
-            marked[left_arc(instance, u, v)] = True
-    for v in instance.marked_right:
-        for u in range(instance.N_l):
-            marked[right_arc(instance, v, u)] = True
+    u, v = np.ix_(sorted(instance.marked_left), np.arange(instance.N_r))
+    marked[left_arc(instance, u, v)] = True
+    v, u = np.ix_(sorted(instance.marked_right), np.arange(instance.N_l))
+    marked[right_arc(instance, v, u)] = True
     return marked
 
 
@@ -88,13 +87,11 @@ def initial_vector(instance: BipartiteInstance) -> np.ndarray:
 
 def marked_arc_mask(instance: BipartiteInstance) -> np.ndarray:
     """True on arcs (u, v) with u marked or v marked."""
-    d = dimension(instance)
-    mask = np.zeros(d, dtype=bool)
-    for u in range(instance.N_l):
-        for v in range(instance.N_r):
-            hit = u in instance.marked_left or v in instance.marked_right
-            mask[left_arc(instance, u, v)] = hit
-            mask[right_arc(instance, v, u)] = hit
+    mask = np.zeros(dimension(instance), dtype=bool)
+    u, v = _grid(instance.N_l, instance.N_r)
+    hit = np.isin(u, sorted(instance.marked_left)) | np.isin(v, sorted(instance.marked_right))
+    mask[left_arc(instance, u, v)] = hit
+    mask[right_arc(instance, v, u)] = hit
     return mask
 
 

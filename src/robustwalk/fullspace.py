@@ -6,6 +6,13 @@ vertex v (position u, coin v) and ``rl[v, u]`` the reverse arc.  Amplitudes
 off the edge set are identically zero under every operator and so are never
 stored.  Operators are applied matrix-free: the coin via per-position neighbor
 means, the shift via an index swap, the oracle via a masked phase.
+
+The three operators update the :class:`StateVector` they are given and return
+that same object; a caller that needs its input afterwards passes a copy.  A
+step therefore works in about 1.5 states: the state itself plus one new block
+(half a state) that the shift builds, as ``rl.T`` cannot be written into
+``lr`` while ``lr.T`` is written into ``rl``.  The coin's row means always run
+along the contiguous axis of each block.
 """
 
 from __future__ import annotations
@@ -58,7 +65,7 @@ class StateVector:
     rl: np.ndarray  # shape (N_r, N_l): arcs right -> left
 
     def norm(self) -> float:
-        return float(np.sqrt(np.sum(np.abs(self.lr) ** 2) + np.sum(np.abs(self.rl) ** 2)))
+        return float(np.sqrt(np.vdot(self.lr, self.lr).real + np.vdot(self.rl, self.rl).real))
 
     def copy(self) -> "StateVector":
         return StateVector(self.lr.copy(), self.rl.copy())
@@ -109,32 +116,36 @@ def initial_state(instance: BipartiteInstance) -> StateVector:
 
 
 def apply_shift(state: StateVector) -> StateVector:
-    """Flip-flop shift: amplitude of arc (u, v) moves to arc (v, u)."""
-    return StateVector(state.rl.T.copy(), state.lr.T.copy())
+    """Flip-flop shift, in place: amplitude of arc (u, v) moves to arc (v, u).
+
+    ``state.rl`` is overwritten and ``state.lr`` replaced by a new array.
+    """
+    moved = state.rl.T.copy()
+    np.copyto(state.rl, state.lr.T)
+    state.lr = moved
+    return state
 
 
 def apply_coin(state: StateVector, alpha: float) -> StateVector:
-    """Per-position coin (1 - e^{-i alpha}) |s_u><s_u| - I.
+    """Per-position coin (1 - e^{-i alpha}) |s_u><s_u| - I, in place.
 
     On each position's coin register this is (1 - e^{-i alpha}) times the mean
     over neighbors, minus the amplitude itself.
     """
     c = 1.0 - np.exp(-1j * alpha)
-    return StateVector(
-        c * state.lr.mean(axis=1, keepdims=True) - state.lr,
-        c * state.rl.mean(axis=1, keepdims=True) - state.rl,
-    )
+    for x in (state.lr, state.rl):
+        np.subtract(c * x.mean(axis=1, keepdims=True), x, out=x)
+    return state
 
 
 def apply_oracle(state: StateVector, beta: float, instance: BipartiteInstance) -> StateVector:
-    """Phase e^{i beta} on every arc whose position register is marked."""
-    out = state.copy()
+    """Phase e^{i beta}, in place, on every arc whose position register is marked."""
     phase = np.exp(1j * beta)
     if instance.marked_left:
-        out.lr[sorted(instance.marked_left), :] *= phase
+        state.lr[sorted(instance.marked_left), :] *= phase
     if instance.marked_right:
-        out.rl[sorted(instance.marked_right), :] *= phase
-    return out
+        state.rl[sorted(instance.marked_right), :] *= phase
+    return state
 
 
 def _marked_masks(instance: BipartiteInstance):

@@ -419,21 +419,27 @@ def project_onto_reduced(state: StateVector, basis: list[StateVector]) -> np.nda
 def conjugate_into_reduced(operator, basis: list[StateVector]) -> np.ndarray:
     """Matrix of a full-space operator restricted to the reduced basis.
 
-    ``operator`` maps StateVector -> StateVector.
+    ``operator`` maps StateVector -> StateVector and may update its input in
+    place (the full-space operators do), so it is given a copy of each basis
+    vector.
     """
     dim = len(basis)
     mat = np.zeros((dim, dim), dtype=complex)
     for j, b in enumerate(basis):
-        image = operator(b)
+        image = operator(b.copy())
         mat[:, j] = project_onto_reduced(image, basis)
     return mat
 
 
 def subspace_leakage(operator, basis: list[StateVector]) -> float:
-    """Largest norm of the image component outside the subspace."""
+    """Largest norm of the image component outside the subspace.
+
+    ``operator`` gets a copy of each basis vector, as in
+    :func:`conjugate_into_reduced`.
+    """
     worst = 0.0
     for b in basis:
-        image = operator(b).flatten()
+        image = operator(b.copy()).flatten()
         for other in basis:
             image = image - np.vdot(other.flatten(), image) * other.flatten()
         worst = max(worst, float(np.linalg.norm(image)))

@@ -141,6 +141,18 @@ def test_sweep_writes_output_file(tmp_path, capsys):
     assert text.startswith("# robustwalk sweep")
 
 
+def test_sweep_unwritable_output_is_usage_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "curve.csv"
+    code, out, err = run_cli(
+        capsys,
+        "sweep", "--nl", "5", "--nr", "4", "--ml", "1", "--hmax", "4", "--out", str(target),
+    )
+    assert code == 2
+    assert out == ""
+    assert "cannot write output file" in err
+    assert not target.parent.exists()
+
+
 def test_sweep_config_file_with_flag_override(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("nl=5\nnr=4\nml=1\nhmax=4\nengine=reduced\n# comment line\n")

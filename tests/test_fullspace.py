@@ -67,7 +67,7 @@ def test_instance_validation():
 def test_shift_is_involution():
     rng = np.random.default_rng(2)
     s = random_state(rng, 4, 7)
-    t = apply_shift(apply_shift(s))
+    t = apply_shift(apply_shift(s.copy()))
     np.testing.assert_array_equal(t.lr, s.lr)
     np.testing.assert_array_equal(t.rl, s.rl)
 
@@ -84,7 +84,7 @@ def test_shift_moves_single_arc():
 def test_coin_pi_is_grover_reflection():
     rng = np.random.default_rng(3)
     s = random_state(rng, 5, 3)
-    t = apply_coin(s, np.pi)
+    t = apply_coin(s.copy(), np.pi)
     want_lr = 2.0 * s.lr.mean(axis=1, keepdims=True) - s.lr
     want_rl = 2.0 * s.rl.mean(axis=1, keepdims=True) - s.rl
     np.testing.assert_allclose(t.lr, want_lr, atol=1e-14)
@@ -94,7 +94,7 @@ def test_coin_pi_is_grover_reflection():
 def test_coin_zero_negates():
     rng = np.random.default_rng(4)
     s = random_state(rng, 3, 4)
-    t = apply_coin(s, 0.0)
+    t = apply_coin(s.copy(), 0.0)
     np.testing.assert_allclose(t.lr, -s.lr, atol=1e-15)
     np.testing.assert_allclose(t.rl, -s.rl, atol=1e-15)
 
@@ -111,7 +111,7 @@ def test_oracle_pi_flips_marked_positions():
     inst = BipartiteInstance(3, 2, frozenset({1}), frozenset())
     rng = np.random.default_rng(6)
     s = random_state(rng, 3, 2)
-    t = apply_oracle(s, np.pi, inst)
+    t = apply_oracle(s.copy(), np.pi, inst)
     np.testing.assert_allclose(t.lr[1, :], -s.lr[1, :], atol=1e-15)
     np.testing.assert_allclose(t.lr[0, :], s.lr[0, :], atol=1e-15)
     np.testing.assert_allclose(t.rl, s.rl, atol=1e-15)
@@ -122,7 +122,7 @@ def test_oracle_zero_and_unmarked_are_identity():
     empty = BipartiteInstance(3, 2)
     rng = np.random.default_rng(7)
     s = random_state(rng, 3, 2)
-    for t in (apply_oracle(s, 0.0, inst), apply_oracle(s, 1.3, empty)):
+    for t in (apply_oracle(s.copy(), 0.0, inst), apply_oracle(s.copy(), 1.3, empty)):
         np.testing.assert_allclose(t.lr, s.lr, atol=1e-15)
         np.testing.assert_allclose(t.rl, s.rl, atol=1e-15)
 
@@ -131,9 +131,39 @@ def test_oracle_inverse_pairs():
     inst = BipartiteInstance(4, 3, frozenset({0, 2}), frozenset({1}))
     rng = np.random.default_rng(8)
     s = random_state(rng, 4, 3)
-    t = apply_oracle(apply_oracle(s, 0.7, inst), -0.7, inst)
+    t = apply_oracle(apply_oracle(s.copy(), 0.7, inst), -0.7, inst)
     np.testing.assert_allclose(t.lr, s.lr, atol=1e-14)
     np.testing.assert_allclose(t.rl, s.rl, atol=1e-14)
+
+
+def test_operators_update_and_return_their_input():
+    inst = BipartiteInstance(4, 3, frozenset({0, 2}), frozenset({1}))
+    rng = np.random.default_rng(12)
+    for op in (apply_shift, lambda s: apply_coin(s, 0.8), lambda s: apply_oracle(s, 0.7, inst)):
+        s = random_state(rng, 4, 3)
+        assert op(s) is s
+
+
+def test_in_place_operators_match_their_definitions():
+    # bit-identical to the out-of-place formulas on the same input
+    inst = BipartiteInstance(5, 3, frozenset({1, 4}), frozenset({2}))
+    rng = np.random.default_rng(13)
+    s = random_state(rng, 5, 3)
+    alpha, beta = 1.1, -0.4
+    c = 1.0 - np.exp(-1j * alpha)
+    t = apply_coin(s.copy(), alpha)
+    np.testing.assert_array_equal(t.lr, c * s.lr.mean(axis=1, keepdims=True) - s.lr)
+    np.testing.assert_array_equal(t.rl, c * s.rl.mean(axis=1, keepdims=True) - s.rl)
+    t = apply_shift(s.copy())
+    np.testing.assert_array_equal(t.lr, s.rl.T)
+    np.testing.assert_array_equal(t.rl, s.lr.T)
+    assert t.lr.flags.c_contiguous and t.rl.flags.c_contiguous
+    t = apply_oracle(s.copy(), beta, inst)
+    phase = np.exp(1j * beta)
+    np.testing.assert_array_equal(t.lr[[1, 4]], s.lr[[1, 4]] * phase)
+    np.testing.assert_array_equal(t.lr[[0, 2, 3]], s.lr[[0, 2, 3]])
+    np.testing.assert_array_equal(t.rl[[2]], s.rl[[2]] * phase)
+    np.testing.assert_array_equal(t.rl[[0, 1]], s.rl[[0, 1]])
 
 
 def test_success_probability_extremes():

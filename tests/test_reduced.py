@@ -144,6 +144,23 @@ def test_subspace_closure_and_leakage(counts):
             assert subspace_leakage(op, basis) <= 1e-12
 
 
+def test_reduced_helpers_leave_basis_unchanged():
+    # the full-space operators update their input in place
+    inst = BipartiteInstance.from_counts(*DIM8_COUNTS)
+    basis = reduced_basis_vectors(inst)
+    before = [b.copy() for b in basis]
+    for op in (
+        fullspace.apply_shift,
+        lambda s: fullspace.apply_coin(s, 0.9),
+        lambda s: fullspace.apply_oracle(s, -1.2, inst),
+    ):
+        conjugate_into_reduced(op, basis)
+        subspace_leakage(op, basis)
+    for b, want in zip(basis, before):
+        np.testing.assert_array_equal(b.lr, want.lr)
+        np.testing.assert_array_equal(b.rl, want.rl)
+
+
 def test_coin_pi_matches_conjugated_grover_coin():
     inst = BipartiteInstance.from_counts(*DIM4_COUNTS)
     model = build_model(*DIM4_COUNTS)
