@@ -1,13 +1,14 @@
 """Exact dynamics in the 4- and 8-dimensional invariant subspaces.
 
-By symmetry over the vertex classes (marked/unmarked on each side) the walk
-never leaves a small subspace:
-
-* one-sided marking: dim 4, basis ``|us>, |su>, |sv>, |vs>`` where u runs over
-  marked-left, v over unmarked-left and s over right vertices;
-* two-sided marking: dim 8, basis
-  ``|ut>, |us>, |tu>, |tv>, |vt>, |vs>, |su>, |sv>`` where additionally t runs
-  over marked-right and s over unmarked-right.
+By symmetry over the vertex classes the walk never leaves a small subspace
+spanned by uniform superpositions over classes of arcs.  The classes are u
+(marked left), v (unmarked left), t (marked right) and s (unmarked right, or
+all right vertices under one-sided marking); ``|pc>`` holds the arcs at a
+vertex of class p whose coin points to class c.  ``LABELS`` is the single
+owner of the basis order, dim 4 for one-sided and dim 8 for two-sided
+marking; every state, operator, hit set and embedding below is derived from
+it and the class sizes.  The model's primitive is the marked fraction r = n/N
+of a side, not an angle omega with cos(omega) = 1 - 2r.
 
 This module builds the step operators restricted to those bases, the
 rotation/mixer factorization (R, A) behind the closed forms, and numerical
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,11 +29,16 @@ from .chebyshev import collapse_phases
 from .fullspace import BipartiteInstance, StateVector, simulate
 from .schedule import AngleSchedule
 
-# Components whose first or second register is marked, per dimension.
-_HIT_INDICES = {4: (0, 1), 8: (0, 1, 2, 3, 4, 6)}
+# Basis labels |pc> (position class, coin class) per dimension.
+LABELS = {4: ("us", "su", "sv", "vs"), 8: ("ut", "us", "tu", "tv", "vt", "vs", "su", "sv")}
 
-# Flip-flop shift as index pairs, per dimension.
-_SHIFT_PAIRS = {4: ((0, 1), (2, 3)), 8: ((0, 2), (1, 6), (3, 4), (5, 7))}
+_MARKED = "ut"
+_UNMARKED = {"u": "v", "t": "s"}
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -40,8 +47,8 @@ class ReducedModel:
 
     ``mirrored`` records that the sides were exchanged so that the marked side
     (for one-sided marking) is the left one; the walk's success series is
-    invariant under that swap.  The class-mixing angles omega1/omega2 and
-    their cos/sin are derived from the counts: cos(omega1) = 1 - 2 n_l / N_l.
+    invariant under that swap.  The arrays derived from ``labels`` and the
+    class sizes are computed once per model and are read-only.
     """
 
     N_l: int
@@ -55,28 +62,46 @@ class ReducedModel:
         return 4 if self.n_r == 0 else 8
 
     @property
-    def omega1(self) -> float:
-        return math.acos(1.0 - 2.0 * self.n_l / self.N_l)
+    def labels(self) -> tuple[str, ...]:
+        return LABELS[self.dim]
 
-    @property
-    def omega2(self) -> float:
-        return math.acos(1.0 - 2.0 * self.n_r / self.N_r)
+    def size(self, cls: str) -> int:
+        """Vertex count of class u, v, t or s."""
+        return {"u": self.n_l, "v": self.N_l - self.n_l, "t": self.n_r, "s": self.N_r - self.n_r}[cls]
 
-    @property
-    def cos_w1(self) -> float:
-        return 1.0 - 2.0 * self.n_l / self.N_l
+    def degree(self, cls: str) -> int:
+        """Degree of a vertex of class cls: N_r on the left (u, v), N_l on the right."""
+        return self.N_r if cls in "uv" else self.N_l
 
-    @property
-    def sin_w1(self) -> float:
-        return 2.0 / self.N_l * math.sqrt(self.n_l * (self.N_l - self.n_l))
+    @cached_property
+    def projector(self) -> np.ndarray:
+        """Coin projector P[i, j] = sqrt(|c_i| |c_j|) / deg(p) where p_i = p_j = p."""
+        return _frozen(np.array([
+            [math.sqrt(self.size(c) * self.size(d)) / self.degree(p) if p == q else 0.0 for q, d in self.labels]
+            for p, c in self.labels
+        ]))
 
-    @property
-    def cos_w2(self) -> float:
-        return 1.0 - 2.0 * self.n_r / self.N_r
+    @cached_property
+    def marked(self) -> np.ndarray:
+        """marked[i] = (p_i marked, c_i marked): the oracle's and R's supports."""
+        return _frozen(np.array([[p in _MARKED, c in _MARKED] for p, c in self.labels]))
 
-    @property
-    def sin_w2(self) -> float:
-        return 2.0 / self.N_r * math.sqrt(self.n_r * (self.N_r - self.n_r))
+    @cached_property
+    def hit_indices(self) -> np.ndarray:
+        """Indices of the labels containing u or t."""
+        return _frozen(np.flatnonzero(self.marked.any(axis=1)))
+
+    @cached_property
+    def mixer_pairs(self) -> tuple[np.ndarray, ...]:
+        """(marked, unmarked, cos(omega/2), sin(omega/2)) over the coin pairs.
+
+        Each |pm> with a marked coin class m pairs with |pw>, w the unmarked
+        class on m's side; r = |m| / deg(p) = P[m, m] and 1 - r = P[w, w].
+        """
+        marked = np.flatnonzero(self.marked[:, 1])
+        unmarked = np.array([self.labels.index(p + _UNMARKED[c]) for p, c in self.labels if c in _MARKED])
+        diag = np.diag(self.projector)
+        return tuple(_frozen(a) for a in (marked, unmarked, np.sqrt(diag[unmarked]), np.sqrt(diag[marked])))
 
 
 def build_model(N_l: int, N_r: int, n_l: int, n_r: int) -> ReducedModel:
@@ -93,119 +118,48 @@ def build_model(N_l: int, N_r: int, n_l: int, n_r: int) -> ReducedModel:
 
 
 def reduced_initial_state(model: ReducedModel) -> np.ndarray:
-    """Uniform arc superposition expressed in the invariant basis."""
-    N_l, N_r, n_l, n_r = model.N_l, model.N_r, model.n_l, model.n_r
-    if model.dim == 4:
-        v = np.array(
-            [
-                math.sqrt(n_l * N_r),
-                math.sqrt(n_l * N_r),
-                math.sqrt(N_r * (N_l - n_l)),
-                math.sqrt(N_r * (N_l - n_l)),
-            ],
-            dtype=complex,
-        )
-    else:
-        v = np.array(
-            [
-                math.sqrt(n_l * n_r),
-                math.sqrt(n_l * (N_r - n_r)),
-                math.sqrt(n_l * n_r),
-                math.sqrt(n_r * (N_l - n_l)),
-                math.sqrt(n_r * (N_l - n_l)),
-                math.sqrt((N_l - n_l) * (N_r - n_r)),
-                math.sqrt(n_l * (N_r - n_r)),
-                math.sqrt((N_l - n_l) * (N_r - n_r)),
-            ],
-            dtype=complex,
-        )
-    return v / math.sqrt(2.0 * N_l * N_r)
+    """Uniform arc superposition: sqrt(|p| |c|) / sqrt(2 N_l N_r) on |pc>."""
+    v = np.array([math.sqrt(model.size(p) * model.size(c)) for p, c in model.labels], dtype=complex)
+    return v / math.sqrt(2.0 * model.N_l * model.N_r)
 
 
 def zero_bar(model: ReducedModel) -> np.ndarray:
-    """The fixed reference state |0bar> of the product-form reduction."""
-    v = np.zeros(model.dim, dtype=complex)
-    if model.dim == 4:
-        v[2] = v[3] = 1.0 / math.sqrt(2.0)
-    else:
-        v[5] = v[7] = 1.0 / math.sqrt(2.0)
-    return v
+    """The fixed reference state |0bar> = (|vs> + |sv>) / sqrt(2)."""
+    return np.array([label in ("vs", "sv") for label in model.labels]) / math.sqrt(2.0) + 0j
 
 
 def shift_matrix(model: ReducedModel) -> np.ndarray:
-    S = np.zeros((model.dim, model.dim), dtype=complex)
-    for i, j in _SHIFT_PAIRS[model.dim]:
-        S[i, j] = S[j, i] = 1.0
-    return S
+    """Flip-flop shift |pc> <-> |cp>: the rows of I permuted."""
+    return np.eye(model.dim, dtype=complex)[[model.labels.index(c + p) for p, c in model.labels]]
 
 
 def oracle_matrix(model: ReducedModel, beta: float) -> np.ndarray:
-    diag = np.ones(model.dim, dtype=complex)
-    marked = 1 if model.dim == 4 else 4  # |us> alone, or |ut>,|us>,|tu>,|tv>
-    diag[:marked] = np.exp(1j * beta)
-    return np.diag(diag)
-
-
-def _coin_block(cos_w: float, sin_w: float, alpha: float) -> np.ndarray:
-    """(1 - e^{-i alpha}) |s><s| - I restricted to a marked/unmarked pair."""
-    c = 1.0 - np.exp(-1j * alpha)
-    return np.array(
-        [
-            [c * (1.0 - cos_w) / 2.0 - 1.0, c * sin_w / 2.0],
-            [c * sin_w / 2.0, c * (1.0 + cos_w) / 2.0 - 1.0],
-        ],
-        dtype=complex,
-    )
+    return np.diag(np.where(model.marked[:, 0], np.exp(1j * beta), 1.0 + 0j))
 
 
 def coin_matrix(model: ReducedModel, alpha: float) -> np.ndarray:
-    if model.dim == 4:
-        C = np.zeros((4, 4), dtype=complex)
-        C[0, 0] = C[3, 3] = -np.exp(-1j * alpha)
-        C[1:3, 1:3] = _coin_block(model.cos_w1, model.sin_w1, alpha)
-        return C
-    four = np.zeros((4, 4), dtype=complex)
-    four[:2, :2] = _coin_block(model.cos_w2, model.sin_w2, alpha)
-    four[2:, 2:] = _coin_block(model.cos_w1, model.sin_w1, alpha)
-    return np.kron(np.eye(2), four)
+    """(1 - e^{-i alpha}) P - I, a fresh array."""
+    return (1.0 - np.exp(-1j * alpha)) * model.projector - np.eye(model.dim)
 
 
 def rotation_r(model: ReducedModel, theta: float) -> np.ndarray:
     """Diagonal phase factor R(theta); R(theta) R(-theta) = I."""
-    plus = np.exp(1j * theta / 2.0)
-    minus = np.exp(-1j * theta / 2.0)
-    if model.dim == 4:
-        return -np.diag([minus, plus, minus, minus]).astype(complex)
-    return -np.diag([plus, minus, plus, minus, plus, minus, plus, minus]).astype(complex)
-
-
-def _mixer_block(omega: float, theta: float) -> np.ndarray:
-    c, s = math.cos(omega / 2.0), math.sin(omega / 2.0)
-    return np.array(
-        [
-            [c, -1j * np.exp(1j * theta) * s],
-            [-1j * np.exp(-1j * theta) * s, c],
-        ],
-        dtype=complex,
-    )
+    return -np.diag(np.where(model.marked[:, 1], np.exp(1j * theta / 2.0), np.exp(-1j * theta / 2.0)))
 
 
 def mixer_a(model: ReducedModel, theta: float) -> np.ndarray:
-    """Phased rotation A(theta) mixing marked and unmarked classes."""
-    if model.dim == 4:
-        A = np.eye(4, dtype=complex)
-        A[1:3, 1:3] = _mixer_block(model.omega1, theta)
-        return A
-    four = np.zeros((4, 4), dtype=complex)
-    four[:2, :2] = _mixer_block(model.omega2, theta)
-    four[2:, 2:] = _mixer_block(model.omega1, theta)
-    return np.kron(np.eye(2), four)
+    """Phased rotation A(theta) mixing each marked coin with its unmarked one."""
+    m, w, cos, sin = model.mixer_pairs
+    A = np.eye(model.dim, dtype=complex)
+    A[m, m] = A[w, w] = cos
+    A[m, w] = -1j * np.exp(1j * theta) * sin
+    A[w, m] = -1j * np.exp(-1j * theta) * sin
+    return A
 
 
 def reduced_success_probability(state: np.ndarray, model: ReducedModel) -> float:
     """Two-register marked mass: components whose label contains u or t."""
-    idx = list(_HIT_INDICES[model.dim])
-    return float(np.sum(np.abs(state[idx]) ** 2))
+    return float(np.sum(np.abs(state[model.hit_indices]) ** 2))
 
 
 def run_reduced(model: ReducedModel, schedule: AngleSchedule):
@@ -271,7 +225,11 @@ def verify_identities(model: ReducedModel, trials: int, seed: int = 0, coin_buil
     a_minus = mixer_a(model, -np.pi / 2.0)
     psi0 = reduced_initial_state(model)
     devs = {k: 0.0 for k in ("C=ARA", "QS=-SR", "A=RAR", "RR=I", "psi0=ASA0", "SBSBS=BSB")}
-    devs["psi0=ASA0"] = _max_abs(psi0 - a_plus @ S @ a_plus @ zero_bar(model))
+
+    def record(name: str, difference: np.ndarray) -> None:
+        devs[name] = max(devs[name], _max_abs(difference))
+
+    record("psi0=ASA0", psi0 - a_plus @ S @ a_plus @ zero_bar(model))
 
     def random_word(length: int) -> np.ndarray:
         w = eye
@@ -283,25 +241,16 @@ def verify_identities(model: ReducedModel, trials: int, seed: int = 0, coin_buil
 
     for _ in range(trials):
         alpha, beta, theta = rng.uniform(-2.0 * np.pi, 2.0 * np.pi, size=3)
-        devs["C=ARA"] = max(
-            devs["C=ARA"],
-            _max_abs(coin(model, alpha) - np.exp(-1j * alpha / 2.0) * a_plus @ rotation_r(model, alpha) @ a_minus),
-        )
-        devs["QS=-SR"] = max(
-            devs["QS=-SR"],
-            _max_abs(oracle_matrix(model, beta) @ S + np.exp(1j * beta / 2.0) * S @ rotation_r(model, beta)),
-        )
-        devs["A=RAR"] = max(
-            devs["A=RAR"],
-            _max_abs(
-                mixer_a(model, alpha + beta)
-                - rotation_r(model, beta) @ mixer_a(model, alpha) @ rotation_r(model, -beta)
-            ),
-        )
-        devs["RR=I"] = max(devs["RR=I"], _max_abs(rotation_r(model, theta) @ rotation_r(model, -theta) - eye))
+        coin_alpha = coin(model, alpha)
+        record("C=ARA", coin_alpha - np.exp(-1j * alpha / 2.0) * a_plus @ rotation_r(model, alpha) @ a_minus)
+        oracle_beta = oracle_matrix(model, beta)
+        record("QS=-SR", oracle_beta @ S + np.exp(1j * beta / 2.0) * S @ rotation_r(model, beta))
+        mixer_sum = mixer_a(model, alpha + beta)
+        record("A=RAR", mixer_sum - rotation_r(model, beta) @ mixer_a(model, alpha) @ rotation_r(model, -beta))
+        record("RR=I", rotation_r(model, theta) @ rotation_r(model, -theta) - eye)
         b1 = random_word(int(rng.integers(0, 7)))
         b2 = random_word(int(rng.integers(0, 7)))
-        devs["SBSBS=BSB"] = max(devs["SBSBS=BSB"], _max_abs(S @ b1 @ S @ b2 @ S - b2 @ S @ b1))
+        record("SBSBS=BSB", S @ b1 @ S @ b2 @ S - b2 @ S @ b1)
     return devs
 
 
@@ -368,46 +317,25 @@ def verify_reduction(model: ReducedModel, schedule: AngleSchedule) -> dict:
 def reduced_basis_vectors(instance: BipartiteInstance) -> list[StateVector]:
     """The invariant-subspace basis as explicit full-space states.
 
-    Requires every vertex class to be nonempty (0 < n_l < N_l, and for
-    two-sided marking 0 < n_r < N_r).  Order matches the reduced components.
+    Requires every vertex class of the labels to be nonempty (0 < n_l < N_l,
+    and for two-sided marking 0 < n_r < N_r).  Order matches the reduced
+    components: |pc> is uniform over the arcs from class p to class c.
     """
     N_l, N_r = instance.N_l, instance.N_r
-    ml = sorted(instance.marked_left)
-    mr = sorted(instance.marked_right)
-    ul = sorted(set(range(N_l)) - instance.marked_left)
-    ur = sorted(set(range(N_r)) - instance.marked_right)
-    if not ml or not ul:
-        raise ValueError("need both marked and unmarked left vertices")
+    ml, mr = instance.marked_left, instance.marked_right
+    classes = {k: sorted(v) for k, v in zip("uvts", (ml, set(range(N_l)) - ml, mr, set(range(N_r)) - mr))}
+    labels = LABELS[8 if instance.marked_right else 4]
+    if any(not classes[k] for k in "".join(labels)):
+        raise ValueError("every vertex class of the basis needs a vertex")
 
-    def embed(rows, cols, layer) -> StateVector:
-        state = StateVector(
-            np.zeros((N_l, N_r), dtype=complex), np.zeros((N_r, N_l), dtype=complex)
-        )
-        block = getattr(state, layer)
+    def embed(p: str, c: str) -> StateVector:
+        state = StateVector(np.zeros((N_l, N_r), dtype=complex), np.zeros((N_r, N_l), dtype=complex))
+        rows, cols = classes[p], classes[c]
+        block = state.lr if p in "uv" else state.rl
         block[np.ix_(rows, cols)] = 1.0 / math.sqrt(len(rows) * len(cols))
         return state
 
-    if not mr:
-        # one-sided: |us>, |su>, |sv>, |vs> with s = all right vertices
-        s = list(range(N_r))
-        return [
-            embed(ml, s, "lr"),
-            embed(s, ml, "rl"),
-            embed(s, ul, "rl"),
-            embed(ul, s, "lr"),
-        ]
-    if not ur:
-        raise ValueError("need both marked and unmarked right vertices")
-    return [
-        embed(ml, mr, "lr"),   # |ut>
-        embed(ml, ur, "lr"),   # |us>
-        embed(mr, ml, "rl"),   # |tu>
-        embed(mr, ul, "rl"),   # |tv>
-        embed(ul, mr, "lr"),   # |vt>
-        embed(ul, ur, "lr"),   # |vs>
-        embed(ur, ml, "rl"),   # |su>
-        embed(ur, ul, "rl"),   # |sv>
-    ]
+    return [embed(p, c) for p, c in labels]
 
 
 def project_onto_reduced(state: StateVector, basis: list[StateVector]) -> np.ndarray:

@@ -18,8 +18,8 @@ ANGLE = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, allow_nan=False
 
 @st.composite
 def instances(draw):
-    N_l = draw(st.integers(1, 8))
-    N_r = draw(st.integers(1, 8))
+    N_l = draw(st.integers(1, 12))
+    N_r = draw(st.integers(1, 12))
     marked_left = draw(st.frozensets(st.integers(0, N_l - 1)))
     marked_right = draw(st.frozensets(st.integers(0, N_r - 1), min_size=0 if marked_left else 1))
     return BipartiteInstance(N_l, N_r, marked_left, marked_right)

@@ -29,6 +29,8 @@ from robustwalk.schedule import build_schedule, oscillatory_schedule
 
 DIM4_COUNTS = (5, 4, 1, 0)
 DIM8_COUNTS = (5, 4, 2, 1)
+# basis shapes conjugated against the full-space operators
+CLOSURE_COUNTS = [DIM4_COUNTS, DIM8_COUNTS, (7, 5, 3, 0), (6, 5, 2, 2), (3, 7, 1, 4)]
 
 
 def models():
@@ -39,25 +41,34 @@ def models():
 # model construction
 # ---------------------------------------------------------------------------
 
+def coin_pair_block(model, marked, unmarked):
+    """Projector entries on the pair |marked>, |unmarked>: r, sqrt(r(1-r)), 1-r."""
+    i, j = model.labels.index(marked), model.labels.index(unmarked)
+    return model.projector[i, i], model.projector[i, j], model.projector[j, j]
+
+
 def test_build_model_one_side():
     m = build_model(600, 1000, 10, 0)
     assert m.dim == 4
-    assert m.cos_w1 == pytest.approx(1 - 20 / 600, abs=1e-15)
-    assert m.omega1 == pytest.approx(math.acos(1 - 20 / 600), abs=1e-14)
-    assert math.sin(m.omega1) == pytest.approx(m.sin_w1, abs=1e-12)
+    assert [m.size(k) for k in "uvs"] == [10, 590, 1000]
+    assert coin_pair_block(m, "su", "sv") == pytest.approx(
+        (10 / 600, math.sqrt(10 * 590) / 600, 590 / 600), abs=1e-15
+    )
 
 
 def test_build_model_all_left_marked():
     m = build_model(4, 4, 4, 0)
-    assert m.omega1 == pytest.approx(math.pi, abs=1e-12)
-    assert m.sin_w1 == 0.0
+    assert (m.size("u"), m.size("v")) == (4, 0)
+    assert coin_pair_block(m, "su", "sv") == (1.0, 0.0, 0.0)
 
 
 def test_build_model_two_sides():
     m = build_model(600, 1000, 10, 5)
     assert m.dim == 8
-    assert m.cos_w2 == pytest.approx(1 - 10 / 1000, abs=1e-15)
-    assert m.omega2 == pytest.approx(math.acos(1 - 10 / 1000), abs=1e-14)
+    assert [m.size(k) for k in "uvts"] == [10, 590, 5, 995]
+    assert coin_pair_block(m, "ut", "us") == pytest.approx(
+        (5 / 1000, math.sqrt(5 * 995) / 1000, 995 / 1000), abs=1e-15
+    )
 
 
 def test_build_model_mirrors_right_only_marking():
@@ -88,7 +99,7 @@ def test_initial_states_normalized():
         assert np.linalg.norm(reduced_initial_state(m)) == pytest.approx(1.0, abs=1e-12)
 
 
-@pytest.mark.parametrize("counts", [DIM4_COUNTS, DIM8_COUNTS])
+@pytest.mark.parametrize("counts", CLOSURE_COUNTS)
 def test_initial_state_is_projection_of_uniform_state(counts):
     inst = BipartiteInstance.from_counts(*counts)
     model = build_model(*counts)
@@ -123,7 +134,7 @@ def test_operators_unitary_random_draws():
         np.testing.assert_allclose(s @ s, eye, atol=1e-15)
 
 
-@pytest.mark.parametrize("counts", [DIM4_COUNTS, DIM8_COUNTS])
+@pytest.mark.parametrize("counts", CLOSURE_COUNTS)
 def test_subspace_closure_and_leakage(counts):
     # conjugating the full-space operators into the embedded basis reproduces
     # the reduced matrices, with no amplitude escaping the subspace
@@ -261,7 +272,8 @@ def test_rotation_inverse_pair():
 
 def test_mixer_at_zero_angle_and_zero_mixing():
     flat = ReducedModel(N_l=5, N_r=4, n_l=0, n_r=0, mirrored=False)
-    assert flat.dim == 4 and flat.omega1 == 0.0
+    assert flat.dim == 4 and flat.size("u") == 0
+    assert coin_pair_block(flat, "su", "sv") == (0.0, 0.0, 1.0)
     np.testing.assert_allclose(mixer_a(flat, 0.0), np.eye(4), atol=1e-15)
 
 
