@@ -12,38 +12,28 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 
-from .chebyshev import chebyshev_t, gamma_params
+from .chebyshev import chebyshev_t
 from .reduced import build_model, run_reduced
-from .schedule import build_schedule, oscillatory_schedule, scenario_from_counts, step_bound
+from .schedule import build_schedule, gamma_grids, oscillatory_schedule, scenario_from_counts, step_bound
 
 
 def closed_form_ph_one_side(h: int, epsilon: float, ratio_l: float) -> float:
-    """Success probability after h steps with marked fraction ratio_l on one side.
-
-    Odd h:  1 - eps T_h(x/gamma)^2 with x = sqrt(1 - ratio).
-    Even h: 1 - eps/2 [T_{h+1}(x/gamma_1)^2 + T_{h-1}(x/gamma_2)^2].
+    """Success probability after h steps with marked fraction ratio_l on one side:
+    1 - eps * mean over the grids n of T_n(x/gamma_n)^2, with x = sqrt(1 - ratio).
     """
     if h < 3:
         raise ValueError(f"closed forms need h >= 3, got {h}")
     if not 0.0 < ratio_l <= 1.0:
         raise ValueError(f"marked fraction must be in (0, 1], got {ratio_l}")
     x = math.sqrt(1.0 - ratio_l)
-    if h % 2 == 1:
-        g = gamma_params(h, epsilon)
-        return 1.0 - epsilon * chebyshev_t(h, x * g.inv_gamma) ** 2
-    g1 = gamma_params(h + 1, epsilon)
-    g2 = gamma_params(h - 1, epsilon)
-    return 1.0 - epsilon / 2.0 * (
-        chebyshev_t(h + 1, x * g1.inv_gamma) ** 2 + chebyshev_t(h - 1, x * g2.inv_gamma) ** 2
-    )
+    grids = gamma_grids(h, epsilon)
+    return 1.0 - epsilon * (sum(chebyshev_t(g.h, x * g.inv_gamma) ** 2 for g in grids) / len(grids))
 
 
 def closed_form_ph_two_sides(h: int, epsilon: float, ratio_l: float, ratio_r: float) -> float:
-    """Success probability with marked fractions on both sides.
-
-    Odd h:  1 - eps^2 T_h(x_l/gamma)^2 T_h(x_r/gamma)^2.
-    Even h: 1 - eps^2/2 [T_{h+1}(x_l/g1)^2 T_{h-1}(x_r/g2)^2
-                         + T_{h+1}(x_r/g1)^2 T_{h-1}(x_l/g2)^2].
+    """Success probability with marked fractions on both sides:
+    1 - eps^2 * mean over the grid pairs (n, m) = (first, last), (last, first)
+    of T_n(x_l/gamma_n)^2 T_m(x_r/gamma_m)^2 (one pair for odd h).
     """
     if h < 3:
         raise ValueError(f"closed forms need h >= 3, got {h}")
@@ -52,17 +42,12 @@ def closed_form_ph_two_sides(h: int, epsilon: float, ratio_l: float, ratio_r: fl
             raise ValueError(f"marked fractions must be in (0, 1], got {r}")
     x_l = math.sqrt(1.0 - ratio_l)
     x_r = math.sqrt(1.0 - ratio_r)
-    if h % 2 == 1:
-        g = gamma_params(h, epsilon)
-        return 1.0 - epsilon**2 * (
-            chebyshev_t(h, x_l * g.inv_gamma) ** 2 * chebyshev_t(h, x_r * g.inv_gamma) ** 2
-        )
-    g1 = gamma_params(h + 1, epsilon)
-    g2 = gamma_params(h - 1, epsilon)
-    return 1.0 - epsilon**2 / 2.0 * (
-        chebyshev_t(h + 1, x_l * g1.inv_gamma) ** 2 * chebyshev_t(h - 1, x_r * g2.inv_gamma) ** 2
-        + chebyshev_t(h + 1, x_r * g1.inv_gamma) ** 2 * chebyshev_t(h - 1, x_l * g2.inv_gamma) ** 2
+    grids = gamma_grids(h, epsilon)
+    terms = (
+        chebyshev_t(g.h, x_l * g.inv_gamma) ** 2 * chebyshev_t(f.h, x_r * f.inv_gamma) ** 2
+        for g, f in zip(grids, grids[::-1])
     )
+    return 1.0 - epsilon**2 * (sum(terms) / len(grids))
 
 
 def closed_form_ph(h: int, epsilon: float, N_l: int, N_r: int, n_l: int, n_r: int) -> float:

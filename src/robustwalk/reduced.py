@@ -27,7 +27,7 @@ import numpy as np
 from . import fullspace
 from .chebyshev import collapse_phases
 from .fullspace import BipartiteInstance, StateVector, simulate
-from .schedule import AngleSchedule
+from .schedule import AngleSchedule, gamma_grids
 
 # Basis labels |pc> (position class, coin class) per dimension.
 LABELS = {4: ("us", "su", "sv", "vs"), 8: ("ut", "us", "tu", "tv", "vt", "vs", "su", "sv")}
@@ -291,14 +291,12 @@ def verify_reduction(model: ReducedModel, schedule: AngleSchedule) -> dict:
     zb = zero_bar(model)
     r_alpha1 = rotation_r(model, schedule.alpha(1))
     r_beta_h = rotation_r(model, schedule.beta(h))
+    cascades = [_mixer_product(model, _anchored_values(g.h, g.gamma)) for g in gamma_grids(h, schedule.epsilon)]
+    inner, outer = cascades[0], cascades[-1]  # the mixers before and after the shift
     if h % 2 == 1:
-        values = _anchored_values(h, schedule.gamma_set.gamma)
-        rhs = S @ _mixer_product(model, values) @ r_alpha1 @ S @ r_beta_h @ _mixer_product(model, values) @ zb
+        rhs = S @ outer @ r_alpha1 @ S @ r_beta_h @ inner @ zb
     else:
-        g1, g2 = schedule.gamma_set
-        inner = _anchored_values(h + 1, g1.gamma)   # h+1 mixers before the shift
-        outer = _anchored_values(h - 1, g2.gamma)   # h-1 mixers after it
-        rhs = r_beta_h @ _mixer_product(model, outer) @ r_alpha1 @ S @ _mixer_product(model, inner) @ zb
+        rhs = r_beta_h @ outer @ r_alpha1 @ S @ inner @ zb
     deviation = global_phase_deviation(lhs, rhs / np.linalg.norm(rhs))
     return {
         "h": h,

@@ -1,16 +1,18 @@
 """Coin/oracle angle schedules and the step-count bounds.
 
 A schedule depends only on (h, epsilon) -- never on the graph or the marked
-sets.  The coin angles follow the arccot formulas on the h grid (odd h) or the
-interleaved h+1 / h-1 grids (even h).  The oracle angles are an index-remapped
-negation of the coin angles.
+sets.  The coin angles follow the arccot formula on the Chebyshev grids of
+``gamma_grids``: the h grid for odd h, the h+1 grid (even steps) and the h-1
+grid (odd steps) for even h.  For every h the oracle angles are the coin
+angles reversed and negated, beta_i = -alpha_{h+1-i}.
 
 For odd h the paper gives two different beta index maps: the main text
 assigns beta_i = -alpha_{h+2-i} to odd i and -alpha_{h-i} to even i, while
 Appendix C swaps those parity roles.  Only the Appendix C map reproduces the
 closed-form success probability (the main-text map is off by more than 1e-3
-at h = 5), so it is the one implemented here; the closed-form verification
-suite is the guard against a wrong map.
+at h = 5, see ``test_rejected_convention_fails_closed_form``), and since
+alpha_{2m+1} = alpha_{2m} for odd h it is exactly the reversal; the
+closed-form verification suite is the guard against a wrong map.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import GammaParams, arccot, gamma_params
+from .chebyshev import GammaParams, gamma_params
 
 
 @dataclass(frozen=True)
@@ -28,22 +30,22 @@ class AngleSchedule:
     """Per-step angles for an h-step walk.
 
     ``alphas[k-1]`` / ``betas[k-1]`` are the coin / oracle angles of step k.
-    The free angles alpha_1 and beta_h are fixed to 0.  ``gamma_set`` is a
-    single GammaParams for odd h or the (h+1, h-1) pair for even h; None for
-    the oscillatory schedule.
+    The free angles alpha_1 and beta_h are fixed to 0.
     """
 
     h: int
     epsilon: float | None
     alphas: np.ndarray
     betas: np.ndarray
-    parity: str
-    gamma_set: GammaParams | tuple[GammaParams, GammaParams] | None
     kind: str
 
     def __post_init__(self):
         if len(self.alphas) != self.h or len(self.betas) != self.h:
             raise ValueError("angle arrays must have one entry per step")
+
+    @property
+    def parity(self) -> str:
+        return "odd" if self.h % 2 else "even"
 
     def alpha(self, k: int) -> float:
         """Coin angle of step k (1-indexed)."""
@@ -54,55 +56,40 @@ class AngleSchedule:
         return float(self.betas[k - 1])
 
 
+def gamma_grids(h: int, epsilon: float) -> tuple[GammaParams, ...]:
+    """The Chebyshev grids of an h-step walk: (gamma_h,) for odd h and
+    (gamma_{h+1}, gamma_{h-1}) for even h.  Even steps use the first grid and
+    odd steps the last."""
+    if h % 2:
+        return (gamma_params(h, epsilon),)
+    return gamma_params(h + 1, epsilon), gamma_params(h - 1, epsilon)
+
+
 def build_schedule(h: int, epsilon: float) -> AngleSchedule:
     """Build the robust h-step schedule for error floor epsilon.
 
-    Odd h uses one gamma on the k pi / h grid; even h interleaves gamma_1 on
-    the k pi / (h+1) grid (even steps) with gamma_2 on the (k-1) pi / (h-1)
-    grid (odd steps).  The oracle angles negate the coin angles under an index
-    map: odd h takes beta_i = -alpha_{h+2-i} for even i and -alpha_{h-i} for
-    odd i <= h-2 (Appendix C); even h takes beta_i = -alpha_{h+1-i}.
-    alpha_1 and beta_h are free and set to 0.
+    alpha_1 = 0 and alpha_k = 2 arccot(tan(j pi / n) sqrt(1 - gamma_n^2)) with
+    j = 2 floor(k/2), where n is the grid of step k's parity; beta_h = 0.
     """
     if h < 3:
         raise ValueError(f"robust schedules need h >= 3, got {h}")
-    a = np.zeros(h + 1)  # 1-indexed scratch; slot 0 unused
-    b = np.zeros(h + 1)
-    if h % 2 == 1:
-        gset = gamma_params(h, epsilon)
-        spread = math.sqrt(max(0.0, 1.0 - gset.gamma**2))
-        for k in range(2, h, 2):
-            a[k] = 2.0 * arccot(math.tan(k * math.pi / h) * spread)
-        for k in range(3, h + 1, 2):
-            a[k] = 2.0 * arccot(math.tan((k - 1) * math.pi / h) * spread)
-        for i in range(2, h, 2):
-            b[i] = -a[h + 2 - i]
-        for i in range(1, h - 1, 2):
-            b[i] = -a[h - i]
-        parity = "odd"
-    else:
-        g1 = gamma_params(h + 1, epsilon)
-        g2 = gamma_params(h - 1, epsilon)
-        s1 = math.sqrt(max(0.0, 1.0 - g1.gamma**2))
-        s2 = math.sqrt(max(0.0, 1.0 - g2.gamma**2))
-        for k in range(2, h + 1, 2):
-            a[k] = 2.0 * arccot(math.tan(k * math.pi / (h + 1)) * s1)
-        for k in range(3, h, 2):
-            a[k] = 2.0 * arccot(math.tan((k - 1) * math.pi / (h - 1)) * s2)
-        for k in range(1, h):
-            b[k] = -a[h + 1 - k]
-        gset = (g1, g2)
-        parity = "even"
-
-    return AngleSchedule(
-        h=h,
-        epsilon=epsilon,
-        alphas=a[1:].copy(),
-        betas=b[1:].copy(),
-        parity=parity,
-        gamma_set=gset,
-        kind="robust",
-    )
+    grids = gamma_grids(h, epsilon)
+    by_parity = (grids[0], grids[-1])
+    # Steps 2m and 2m+1 share j = 2m, so steps 2..h fill the rows of an
+    # (m, 2) view, padded by one dropped slot for even h; column 0 takes the even
+    # steps' grid and column 1 the odd steps'.
+    angles = np.zeros(h + 1 - h % 2)
+    pairs = angles[1:].reshape(-1, 2)
+    pairs[:] = np.arange(2, h + 1, 2)[:, None] * np.pi
+    pairs /= [g.h for g in by_parity]
+    np.tan(pairs, out=pairs)
+    pairs *= [math.sqrt(max(0.0, 1.0 - g.gamma**2)) for g in by_parity]
+    np.arctan(pairs, out=pairs)
+    np.subtract(np.pi / 2, pairs, out=pairs)  # arccot on the (0, pi) branch
+    pairs *= 2.0
+    alphas = angles[:h]
+    betas = 0.0 - alphas[::-1]  # not -alphas[::-1], which makes beta_h = -0.0
+    return AngleSchedule(h=h, epsilon=epsilon, alphas=alphas, betas=betas, kind="robust")
 
 
 def oscillatory_schedule(h: int) -> AngleSchedule:
@@ -110,15 +97,7 @@ def oscillatory_schedule(h: int) -> AngleSchedule:
     if h < 1:
         raise ValueError(f"step count must be positive, got {h}")
     angles = np.full(h, np.pi)
-    return AngleSchedule(
-        h=h,
-        epsilon=None,
-        alphas=angles,
-        betas=angles.copy(),
-        parity="odd" if h % 2 else "even",
-        gamma_set=None,
-        kind="oscillatory",
-    )
+    return AngleSchedule(h=h, epsilon=None, alphas=angles, betas=angles.copy(), kind="oscillatory")
 
 
 @dataclass(frozen=True)

@@ -29,8 +29,6 @@ def random_schedule(rng, h):
         epsilon=None,
         alphas=rng.uniform(-np.pi, np.pi, h),
         betas=rng.uniform(-np.pi, np.pi, h),
-        parity="odd" if h % 2 else "even",
-        gamma_set=None,
         kind="oscillatory",
     )
 
@@ -191,7 +189,7 @@ def test_success_probability_uniform_counting():
 
 def test_run_empty_schedule_reports_initial_probability():
     inst = BipartiteInstance.from_counts(4, 3, 1, 1)
-    empty = AngleSchedule(0, None, np.zeros(0), np.zeros(0), "even", None, "oscillatory")
+    empty = AngleSchedule(0, None, np.zeros(0), np.zeros(0), "oscillatory")
     _, series = run(inst, empty)
     assert series.entries == [(0, success_probability(initial_state(inst), inst))]
 

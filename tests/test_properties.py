@@ -1,4 +1,6 @@
-"""Property-based engine equivalence over arbitrary marked sets and angles.
+"""Property-based checks: engine equivalence and side symmetry over arbitrary
+marked sets and angles, and the 1 - epsilon floor of the closed form above the
+step bound.
 
 Derandomized, so that every run draws the same examples.
 """
@@ -10,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustwalk import dense, fullspace, reduced
+from robustwalk.analysis import closed_form_ph
 from robustwalk.fullspace import BipartiteInstance
-from robustwalk.schedule import AngleSchedule
+from robustwalk.schedule import AngleSchedule, MarkingScenario, scenario_from_counts, step_bound
 
 ANGLE = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, allow_nan=False)
 
@@ -30,7 +33,7 @@ def schedules(draw):
     h = draw(st.integers(0, 12))
     alphas = np.array(draw(st.lists(ANGLE, min_size=h, max_size=h)))
     betas = np.array(draw(st.lists(ANGLE, min_size=h, max_size=h)))
-    return AngleSchedule(h, None, alphas, betas, "odd" if h % 2 else "even", None, "oscillatory")
+    return AngleSchedule(h, None, alphas, betas, "oscillatory")
 
 
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
@@ -43,3 +46,27 @@ def test_full_dense_reduced_series_agree(inst, sched):
     assert len(full) == len(naive) == len(small) == sched.h + 1
     np.testing.assert_allclose(full, naive, rtol=0, atol=1e-10)
     np.testing.assert_allclose(full, small, rtol=0, atol=1e-10)
+    # the walk does not depend on which side is called left, nor on which ids are marked
+    mirrored = BipartiteInstance(inst.N_r, inst.N_l, inst.marked_right, inst.marked_left)
+    relabeled = BipartiteInstance.from_counts(inst.N_l, inst.N_r, inst.n_l, inst.n_r)
+    for variant in (mirrored, relabeled):
+        np.testing.assert_allclose(fullspace.run(variant, sched)[1].probabilities(), full, rtol=0, atol=1e-12)
+
+
+@st.composite
+def counted_graphs(draw):
+    N_l = draw(st.integers(1, 3000))
+    N_r = draw(st.integers(1, 3000))
+    n_l = draw(st.integers(0, N_l))
+    n_r = draw(st.integers(0 if n_l else 1, N_r))
+    return N_l, N_r, n_l, n_r
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(counted_graphs(), st.floats(0.01, 1.0), st.booleans())
+def test_closed_form_keeps_floor_from_bound(counts, epsilon, unknown):
+    N_l, N_r, n_l, n_r = counts
+    scenario = MarkingScenario("unknown") if unknown else scenario_from_counts(n_l, n_r)
+    bound = step_bound(N_l, N_r, scenario, epsilon)
+    for h in range(max(bound, 3), 3 * bound + 1):
+        assert closed_form_ph(h, epsilon, *counts) >= 1.0 - epsilon - 1e-9, h

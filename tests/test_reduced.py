@@ -25,7 +25,7 @@ from robustwalk.reduced import (
     verify_reduction,
     zero_bar,
 )
-from robustwalk.schedule import build_schedule, oscillatory_schedule
+from robustwalk.schedule import build_schedule, gamma_grids, oscillatory_schedule
 
 DIM4_COUNTS = (5, 4, 1, 0)
 DIM8_COUNTS = (5, 4, 2, 1)
@@ -310,8 +310,7 @@ def test_stage_one_component_pattern():
     from robustwalk.reduced import _anchored_values, _mixer_product
 
     model = build_model(6, 5, 2, 0)
-    sched = build_schedule(5, 0.1)
-    values = _anchored_values(5, sched.gamma_set.gamma)
+    values = _anchored_values(5, gamma_grids(5, 0.1)[0].gamma)
     state = _mixer_product(model, values) @ zero_bar(model)
     assert abs(state[0]) <= 1e-12
     assert state[3] == pytest.approx(1 / math.sqrt(2), abs=1e-12)

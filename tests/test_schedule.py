@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from robustwalk.chebyshev import arccot, gamma_params
 from robustwalk.schedule import (
     MarkingScenario,
     build_schedule,
+    gamma_grids,
     oscillatory_schedule,
     scenario_from_counts,
     step_bound,
@@ -28,9 +30,17 @@ def test_odd_alpha_frozen_value():
     # frozen: 2 arccot(tan(2 pi/5) sqrt(1 - gamma^2)) at eps = 0.1
     s = build_schedule(5, 0.1)
     assert s.alpha(2) == pytest.approx(1.5009092962580386, rel=1e-12)
-    g = gamma_params(5, 0.1)
-    want = 2.0 * arccot(math.tan(2.0 * math.pi / 5.0) * math.sqrt(1.0 - g.gamma**2))
-    assert s.alpha(2) == pytest.approx(want, rel=1e-14)
+    # every step against the scalar formula, j = 2 floor(k/2), on the h grid for
+    # odd h; for even h the (h+1)-grid on even k and the (h-1)-grid on odd k
+    for h, eps in itertools.product(range(3, 41), (0.05, 0.1, 0.5, 1.0)):
+        s = build_schedule(h, eps)
+        assert s.alpha(1) == 0.0
+        for k in range(2, h + 1):
+            n = h if h % 2 else (h + 1 if k % 2 == 0 else h - 1)
+            g = gamma_params(n, eps)
+            j = 2 * (k // 2)
+            want = 2.0 * arccot(math.tan(j * math.pi / n) * math.sqrt(1.0 - g.gamma**2))
+            assert s.alpha(k) == pytest.approx(want, abs=1e-14), (h, k)
 
 
 def test_even_alphas_use_both_grids():
@@ -40,7 +50,7 @@ def test_even_alphas_use_both_grids():
     assert s.alpha(3) == pytest.approx(4.648161773496005, rel=1e-12)
     g1 = gamma_params(5, 0.1)
     g2 = gamma_params(3, 0.1)
-    assert s.gamma_set == (g1, g2)
+    assert gamma_grids(4, 0.1) == (g1, g2)
 
 
 def test_free_angles_are_zero():
@@ -61,16 +71,18 @@ def test_defined_angles_in_range():
 
 
 def test_betas_are_index_remapped_negations():
-    for h in (5, 9, 13):
+    for h in range(3, 41):
         s = build_schedule(h, 0.2)
-        for i in range(2, h, 2):
-            assert s.beta(i) == -s.alpha(h + 2 - i)
-        for i in range(1, h - 1, 2):
-            assert s.beta(i) == -s.alpha(h - i)
-    for h in (4, 8, 12):
-        s = build_schedule(h, 0.2)
-        for k in range(1, h):
-            assert s.beta(k) == -s.alpha(h + 1 - k)
+        if h % 2:  # Appendix C map
+            for i in range(2, h, 2):
+                assert s.beta(i) == -s.alpha(h + 2 - i)
+            for i in range(1, h - 1, 2):
+                assert s.beta(i) == -s.alpha(h - i)
+        else:
+            for k in range(1, h):
+                assert s.beta(k) == -s.alpha(h + 1 - k)
+        # +0.0, not -0.0, so that the schedule table prints 0
+        assert s.betas[-1] == 0.0 and math.copysign(1.0, s.betas[-1]) == 1.0
 
 
 def test_schedule_depends_only_on_h_eps_convention():
