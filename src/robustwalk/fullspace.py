@@ -5,23 +5,33 @@ graph: ``lr[u, v]`` is the amplitude of the arc from left vertex u to right
 vertex v (position u, coin v) and ``rl[v, u]`` the reverse arc.  Amplitudes
 off the edge set are identically zero under every operator and so are never
 stored.  Operators are applied matrix-free: the coin via per-position neighbor
-means, the shift via an index swap, the oracle via a masked phase.
+means, the shift via an index swap, the oracle via a phase on marked rows.
 
 The three operators update the :class:`StateVector` they are given and return
-that same object; a caller that needs its input afterwards passes a copy.  A
-step therefore works in about 1.5 states: the state itself plus one new block
-(half a state) that the shift builds, as ``rl.T`` cannot be written into
-``lr`` while ``lr.T`` is written into ``rl``.  The coin's row means always run
-along the contiguous axis of each block.
+that same object; a caller that needs its input afterwards passes a copy.
+:func:`initial_state` stores ``rl`` as the transpose of a C-ordered
+(N_l, N_r) array, so both ``lr`` and ``rl.T`` are C-ordered and indexed
+[u, v].  The shift then only swaps the two views, and the layout is the same
+after every step.  A step works in one state plus the coin's temporaries of
+one row chunk.  Results do not depend on the layout; other layouts (a
+C-ordered ``rl``) only run slower.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .schedule import AngleSchedule
+
+
+def _frozen_ids(ids) -> np.ndarray:
+    a = np.array(sorted(ids), dtype=np.intp)
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -42,6 +52,21 @@ class BipartiteInstance:
             raise ValueError("marked left ids out of range")
         if any(not 0 <= v < self.N_r for v in self.marked_right):
             raise ValueError("marked right ids out of range")
+
+    @cached_property
+    def left_ids(self) -> np.ndarray:
+        """Sorted marked left ids, read-only."""
+        return _frozen_ids(self.marked_left)
+
+    @cached_property
+    def right_ids(self) -> np.ndarray:
+        """Sorted marked right ids, read-only."""
+        return _frozen_ids(self.marked_right)
+
+    @cached_property
+    def unmarked_left_ids(self) -> np.ndarray:
+        """Sorted unmarked left ids, read-only."""
+        return _frozen_ids(set(range(self.N_l)) - self.marked_left)
 
     @property
     def n_l(self) -> int:
@@ -65,10 +90,13 @@ class StateVector:
     rl: np.ndarray  # shape (N_r, N_l): arcs right -> left
 
     def norm(self) -> float:
-        return float(np.sqrt(np.vdot(self.lr, self.lr).real + np.vdot(self.rl, self.rl).real))
+        # ravel in memory order: a C-order ravel would copy an F-ordered rl
+        lr, rl = self.lr.ravel("K"), self.rl.ravel("K")
+        return math.sqrt(np.vdot(lr, lr).real + np.vdot(rl, rl).real)
 
     def copy(self) -> "StateVector":
-        return StateVector(self.lr.copy(), self.rl.copy())
+        """Copy that keeps each block's memory layout."""
+        return StateVector(self.lr.copy(order="K"), self.rl.copy(order="K"))
 
     def flatten(self) -> np.ndarray:
         """Arc amplitudes as one vector: left-position arcs first."""
@@ -107,34 +135,57 @@ def simulate(state, step, probability, norm, schedule: AngleSchedule):
 
 
 def initial_state(instance: BipartiteInstance) -> StateVector:
-    """Uniform superposition over all directed arcs."""
+    """Uniform superposition over all directed arcs; ``rl`` is F-ordered."""
     amp = 1.0 / np.sqrt(2.0 * instance.N_l * instance.N_r)
     return StateVector(
         np.full((instance.N_l, instance.N_r), amp, dtype=complex),
-        np.full((instance.N_r, instance.N_l), amp, dtype=complex),
+        np.full((instance.N_r, instance.N_l), amp, dtype=complex, order="F"),
     )
 
 
 def apply_shift(state: StateVector) -> StateVector:
     """Flip-flop shift, in place: amplitude of arc (u, v) moves to arc (v, u).
 
-    ``state.rl`` is overwritten and ``state.lr`` replaced by a new array.
+    Swaps ``lr`` and ``rl`` as transposed views; nothing is copied, and an
+    F-ordered ``rl`` keeps ``lr`` C-ordered.
     """
-    moved = state.rl.T.copy()
-    np.copyto(state.rl, state.lr.T)
-    state.lr = moved
+    state.lr, state.rl = state.rl.T, state.lr.T
     return state
+
+
+_CHUNK_ROWS = 32
+
+
+def _pairwise_row_sum(a: np.ndarray, shift=None) -> np.ndarray:
+    """Sum of the rows of ``a`` (less ``shift``), halving down to chunks."""
+    if len(a) > _CHUNK_ROWS:
+        half = len(a) // 2
+        return _pairwise_row_sum(a[:half], shift) + _pairwise_row_sum(a[half:], shift)
+    return (a if shift is None else a - shift).sum(axis=0)
+
+
+def _row_mean(a: np.ndarray) -> np.ndarray:
+    """Mean of the rows of ``a``: a pairwise sum, then one correction pass
+    m + mean(a - m) in the same order.  Both work on chunks of rows, so no
+    temporary is larger than a chunk.  A plain sum over axis 0 adds the rows
+    one by one and costs about two digits of a 1000 x 1000 walk."""
+    n = len(a)
+    m = _pairwise_row_sum(a) / n
+    return m + _pairwise_row_sum(a, m) / n
 
 
 def apply_coin(state: StateVector, alpha: float) -> StateVector:
     """Per-position coin (1 - e^{-i alpha}) |s_u><s_u| - I, in place.
 
     On each position's coin register this is (1 - e^{-i alpha}) times the mean
-    over neighbors, minus the amplitude itself.
+    over neighbors, minus the amplitude itself.  ``lr`` takes numpy's row
+    means; the neighbors of a right position are a column of ``rl.T``, which
+    :func:`_row_mean` averages in pairwise order with a correction pass.
     """
     c = 1.0 - np.exp(-1j * alpha)
-    for x in (state.lr, state.rl):
-        np.subtract(c * x.mean(axis=1, keepdims=True), x, out=x)
+    np.subtract(c * state.lr.mean(axis=1, keepdims=True), state.lr, out=state.lr)
+    rl_t = state.rl.T
+    np.subtract(c * _row_mean(rl_t), rl_t, out=rl_t)
     return state
 
 
@@ -142,29 +193,25 @@ def apply_oracle(state: StateVector, beta: float, instance: BipartiteInstance) -
     """Phase e^{i beta}, in place, on every arc whose position register is marked."""
     phase = np.exp(1j * beta)
     if instance.marked_left:
-        state.lr[sorted(instance.marked_left), :] *= phase
+        state.lr[instance.left_ids] *= phase
     if instance.marked_right:
-        state.rl[sorted(instance.marked_right), :] *= phase
+        state.rl.T[:, instance.right_ids] *= phase
     return state
-
-
-def _marked_masks(instance: BipartiteInstance):
-    left = np.zeros(instance.N_l, dtype=bool)
-    right = np.zeros(instance.N_r, dtype=bool)
-    left[sorted(instance.marked_left)] = True
-    right[sorted(instance.marked_right)] = True
-    return left, right
 
 
 def success_probability(state: StateVector, instance: BipartiteInstance) -> float:
     """Probability that measuring both registers yields a marked vertex.
 
-    Sums |amplitude|^2 over arcs (u, v) with u marked or v marked.
+    Sums |amplitude|^2 over arcs (u, v) with u marked or v marked: the marked
+    rows of ``lr`` and ``rl.T`` (both indexed [u, v]), plus their marked
+    columns outside the marked rows.
     """
-    left, right = _marked_masks(instance)
-    hit_lr = left[:, None] | right[None, :]
-    hit_rl = right[:, None] | left[None, :]
-    return float(np.sum(np.abs(state.lr[hit_lr]) ** 2) + np.sum(np.abs(state.rl[hit_rl]) ** 2))
+    rows, others, cols = instance.left_ids, instance.unmarked_left_ids[:, None], instance.right_ids
+    total = 0.0
+    for block in (state.lr, state.rl.T):
+        for hits in (block[rows], block[others, cols]):
+            total += np.vdot(hits, hits).real
+    return float(total)
 
 
 def run(instance: BipartiteInstance, schedule: AngleSchedule):

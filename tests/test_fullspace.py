@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustwalk import dense, fullspace, reduced
 from robustwalk.fullspace import (
@@ -21,6 +25,17 @@ def random_state(rng, N_l, N_r):
     s = StateVector(lr.astype(complex), rl.astype(complex))
     n = s.norm()
     return StateVector(s.lr / n, s.rl / n)
+
+
+def f_ordered(s):
+    """A copy with rl stored the way initial_state stores it: as the
+    transpose of a C-ordered (N_l, N_r) array."""
+    return StateVector(np.array(s.lr, order="C"), np.array(s.rl, order="F"))
+
+
+def c_ordered(s):
+    """A copy with both blocks C-ordered."""
+    return StateVector(np.array(s.lr, order="C"), np.array(s.rl, order="C"))
 
 
 def random_schedule(rng, h):
@@ -143,25 +158,93 @@ def test_operators_update_and_return_their_input():
 
 
 def test_in_place_operators_match_their_definitions():
-    # bit-identical to the out-of-place formulas on the same input
+    # bit-identical to the out-of-place formulas on the same input, in the
+    # layout initial_state uses; the rl coin mean is a compensated pairwise
+    # sum, so there the formula holds within 3 ulps
     inst = BipartiteInstance(5, 3, frozenset({1, 4}), frozenset({2}))
     rng = np.random.default_rng(13)
-    s = random_state(rng, 5, 3)
+    s = f_ordered(random_state(rng, 5, 3))
     alpha, beta = 1.1, -0.4
     c = 1.0 - np.exp(-1j * alpha)
     t = apply_coin(s.copy(), alpha)
     np.testing.assert_array_equal(t.lr, c * s.lr.mean(axis=1, keepdims=True) - s.lr)
-    np.testing.assert_array_equal(t.rl, c * s.rl.mean(axis=1, keepdims=True) - s.rl)
-    t = apply_shift(s.copy())
+    ulp = np.spacing(np.abs(s.rl).max())
+    np.testing.assert_allclose(t.rl, c * s.rl.mean(axis=1, keepdims=True) - s.rl, rtol=0, atol=3 * ulp)
+    t = s.copy()
+    lr, rl = t.lr, t.rl
+    t = apply_shift(t)
     np.testing.assert_array_equal(t.lr, s.rl.T)
     np.testing.assert_array_equal(t.rl, s.lr.T)
-    assert t.lr.flags.c_contiguous and t.rl.flags.c_contiguous
+    # the shift swaps views: lr and rl.T stay C-ordered and nothing is copied
+    assert t.lr.flags.c_contiguous and t.rl.T.flags.c_contiguous
+    assert np.shares_memory(t.lr, rl) and np.shares_memory(t.rl, lr)
     t = apply_oracle(s.copy(), beta, inst)
     phase = np.exp(1j * beta)
     np.testing.assert_array_equal(t.lr[[1, 4]], s.lr[[1, 4]] * phase)
     np.testing.assert_array_equal(t.lr[[0, 2, 3]], s.lr[[0, 2, 3]])
     np.testing.assert_array_equal(t.rl[[2]], s.rl[[2]] * phase)
     np.testing.assert_array_equal(t.rl[[0, 1]], s.rl[[0, 1]])
+
+
+def test_initial_state_layout_survives_steps():
+    inst = BipartiteInstance.from_counts(40, 7, 2, 1)
+    s = initial_state(inst)
+    for _ in range(3):
+        assert s.lr.flags.c_contiguous and s.rl.T.flags.c_contiguous
+        apply_shift(apply_coin(apply_oracle(s, 0.3, inst), 0.9))
+    assert s.copy().rl.T.flags.c_contiguous
+
+
+def test_coin_rl_mean_matches_fsum():
+    # 3000 neighbors per right position: adding the rows of rl.T one by one
+    # (a plain axis-0 mean) is 11 ulps off here
+    N_l, N_r = 3000, 4
+    rng = np.random.default_rng(14)
+    rl_t = (1.0 + 0.25 * rng.normal(size=(N_l, N_r))) + 1j * (2.0 + 0.25 * rng.normal(size=(N_l, N_r)))
+    s = StateVector(np.zeros((N_l, N_r), dtype=complex), rl_t.copy().T)
+    alpha = 1.1
+    c = 1.0 - np.exp(-1j * alpha)
+    mean = np.array([complex(math.fsum(col.real), math.fsum(col.imag)) / N_l for col in rl_t.T])
+    got = apply_coin(s, alpha).rl
+    ulp = np.spacing(np.abs(rl_t).max())
+    np.testing.assert_allclose(got, c * mean[:, None] - rl_t.T, rtol=0, atol=3 * ulp)
+
+
+def test_layouts_give_the_same_results(monkeypatch):
+    # more rows of rl.T than one coin chunk, so the pairwise sum splits
+    inst = BipartiteInstance(70, 9, frozenset({3, 41}), frozenset({5}))
+    rng = np.random.default_rng(15)
+    s = random_state(rng, 70, 9)
+    ops = (apply_shift, lambda x: apply_coin(x, 0.8), lambda x: apply_oracle(x, -1.3, inst))
+    for op in ops:
+        a, b = op(c_ordered(s)), op(f_ordered(s))
+        np.testing.assert_allclose(a.lr, b.lr, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(a.rl, b.rl, rtol=0, atol=1e-15)
+        assert success_probability(a, inst) == pytest.approx(success_probability(b, inst), rel=0, abs=1e-15)
+    sched = build_schedule(9, 0.2)
+    _, f_series = run(inst, sched)
+    original = fullspace.initial_state
+    monkeypatch.setattr(fullspace, "initial_state", lambda instance: c_ordered(original(instance)))
+    _, c_series = run(inst, sched)
+    np.testing.assert_allclose(c_series.probabilities(), f_series.probabilities(), rtol=0, atol=1e-15)
+
+
+@st.composite
+def states_and_instances(draw):
+    N_l, N_r = draw(st.integers(1, 80)), draw(st.integers(1, 12))
+    inst = BipartiteInstance(
+        N_l, N_r, draw(st.frozensets(st.integers(0, N_l - 1))), draw(st.frozensets(st.integers(0, N_r - 1)))
+    )
+    s = random_state(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), N_l, N_r)
+    return inst, f_ordered(s) if draw(st.booleans()) else s
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(states_and_instances(), st.floats(-2 * np.pi, 2 * np.pi), st.floats(-2 * np.pi, 2 * np.pi))
+def test_each_operator_preserves_the_norm(case, alpha, beta):
+    inst, s = case
+    for op in (apply_shift, lambda x: apply_coin(x, alpha), lambda x: apply_oracle(x, beta, inst)):
+        assert abs(op(s.copy()).norm() - 1.0) <= 1e-13
 
 
 def test_success_probability_extremes():
