@@ -82,6 +82,9 @@ class BipartiteInstance:
         return cls(N_l, N_r, frozenset(range(n_l)), frozenset(range(n_r)))
 
 
+_NORM_SLICE = 1 << 16
+
+
 @dataclass
 class StateVector:
     """Unit-norm complex amplitudes over the directed arcs."""
@@ -90,9 +93,14 @@ class StateVector:
     rl: np.ndarray  # shape (N_r, N_l): arcs right -> left
 
     def norm(self) -> float:
-        # ravel in memory order: a C-order ravel would copy an F-ordered rl
-        lr, rl = self.lr.ravel("K"), self.rl.ravel("K")
-        return math.sqrt(np.vdot(lr, lr).real + np.vdot(rl, rl).real)
+        """Euclidean norm, from exactly added BLAS dot products over slices of
+        ``_NORM_SLICE`` amplitudes.  One dot product over a whole block adds its
+        terms nearly in sequence: at 10^4 x 10^4 that norm read 1 - 1.0e-10
+        after one step, at the tolerance of the unitarity check."""
+        # memory order: a C-order ravel would copy an F-ordered rl
+        flats = (self.lr.ravel("K"), self.rl.ravel("K"))
+        slices = (f[i:i + _NORM_SLICE] for f in flats for i in range(0, f.size, _NORM_SLICE))
+        return math.sqrt(math.fsum(np.vdot(x, x).real for x in slices))
 
     def copy(self) -> "StateVector":
         """Copy that keeps each block's memory layout."""
