@@ -5,7 +5,8 @@ graph: ``lr[u, v]`` is the amplitude of the arc from left vertex u to right
 vertex v (position u, coin v) and ``rl[v, u]`` the reverse arc.  Amplitudes
 off the edge set are identically zero under every operator and so are never
 stored.  Operators are applied matrix-free: the coin via per-position neighbor
-means, the shift via an index swap, the oracle via a phase on marked rows.
+means, the shift via a swap of transposed views, the oracle via a phase on
+marked rows.
 
 The three operators update the :class:`StateVector` they are given and return
 that same object; a caller that needs its input afterwards passes a copy.
