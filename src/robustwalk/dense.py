@@ -4,9 +4,10 @@ Operators are deliberately independent of :mod:`robustwalk.fullspace`: they
 are built as explicit matrices straight from their definitions (index grids
 over the arcs, addressed through :func:`left_arc` and :func:`right_arc`; no
 code shared with the structured simulator) and applied by plain matrix-vector
-products; only the step driver (:func:`robustwalk.fullspace.simulate`) is
-shared.  This is the cross-check oracle for the structured simulator, intended
-for 2 * N_l * N_r up to a few hundred.
+products, one step callable per scheduled (alpha, beta); only the step
+driver (:func:`robustwalk.fullspace.simulate`) is shared.  This is the
+cross-check oracle for the structured simulator, intended for 2 * N_l * N_r
+up to a few hundred.
 
 Arc indexing: arc (left u -> right v) sits at u * N_r + v; arc
 (right v -> left u) sits at N_l * N_r + v * N_l + u.
@@ -114,15 +115,18 @@ def run_dense(instance: BipartiteInstance, schedule: AngleSchedule):
     Q = np.zeros_like(P)
     diagonal = np.diag_indices_from(Q)
 
-    def step(psi, alpha, beta):
-        np.subtract(np.multiply(1.0 - np.exp(-1j * alpha), P, out=C), eye, out=C)
-        Q[diagonal] = np.where(marked, np.exp(1j * beta), 1.0 + 0.0j)
-        return S @ (C @ (Q @ psi))
+    def step(alpha, beta):
+        def apply(psi):
+            np.subtract(np.multiply(1.0 - np.exp(-1j * alpha), P, out=C), eye, out=C)
+            Q[diagonal] = np.where(marked, np.exp(1j * beta), 1.0 + 0.0j)
+            return S @ (C @ (Q @ psi))
+
+        return apply
 
     return simulate(
         initial_vector(instance),
-        step,
+        map(step, schedule.alphas, schedule.betas),
         lambda psi: float(np.sum(np.abs(psi[mask]) ** 2)),
         np.linalg.norm,
-        schedule,
+        schedule.kind,
     )

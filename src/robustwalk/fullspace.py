@@ -126,16 +126,17 @@ class SuccessSeries:
         return self.entries[-1][1]
 
 
-def simulate(state, step, probability, norm, schedule: AngleSchedule):
-    """Drive one walk: ``state = step(state, alpha, beta)`` per scheduled step.
+def simulate(state, steps, probability, norm, kind: str):
+    """Drive one walk: ``state = step(state)`` for each callable in ``steps``.
 
     ``probability(state)`` gives the success probability and ``norm(state)``
-    the state norm.  Returns the final state and the per-step success series
-    (entry 0 is the initial state).  Raises if unitarity drifts beyond 1e-10.
+    the state norm; ``kind`` tags the series.  Returns the final state and
+    the per-step success series (entry 0 is the initial state).  Raises if
+    unitarity drifts beyond 1e-10.
     """
-    series = SuccessSeries(schedule.kind, [(0, probability(state))])
-    for k, (alpha, beta) in enumerate(zip(schedule.alphas, schedule.betas), start=1):
-        state = step(state, alpha, beta)
+    series = SuccessSeries(kind, [(0, probability(state))])
+    for k, step in enumerate(steps, start=1):
+        state = step(state)
         nrm = float(norm(state))
         if abs(nrm - 1.0) > 1e-10:
             raise AssertionError(f"norm drifted to {nrm!r} at step {k}")
@@ -226,10 +227,14 @@ def success_probability(state: StateVector, instance: BipartiteInstance) -> floa
 def run(instance: BipartiteInstance, schedule: AngleSchedule):
     """Apply the h scheduled steps (oracle, then coin, then shift); see
     :func:`simulate` for the return value and the unitarity check."""
+
+    def step(alpha, beta):
+        return lambda state: apply_shift(apply_coin(apply_oracle(state, beta, instance), alpha))
+
     return simulate(
         initial_state(instance),
-        lambda state, alpha, beta: apply_shift(apply_coin(apply_oracle(state, beta, instance), alpha)),
+        map(step, schedule.alphas, schedule.betas),
         lambda state: success_probability(state, instance),
         StateVector.norm,
-        schedule,
+        schedule.kind,
     )

@@ -6,14 +6,17 @@ spanned by uniform superpositions over classes of arcs.  The classes are u
 all right vertices under one-sided marking); ``|pc>`` holds the arcs at a
 vertex of class p whose coin points to class c.  ``LABELS`` is the single
 owner of the basis order, dim 4 for one-sided and dim 8 for two-sided
-marking; every state, operator, hit set and embedding below is derived from
-it and the class sizes.  The model's primitive is the marked fraction r = n/N
-of a side, not an angle omega with cos(omega) = 1 - 2r.
+marking; every state, operator and hit set below is derived from it and the
+class sizes.  The model's primitive is the marked fraction r = n/N of a side,
+not an angle omega with cos(omega) = 1 - 2r.
 
 This module builds the step operators restricted to those bases, the
 rotation/mixer factorization (R, A) behind the closed forms, and numerical
 verifiers for the operator identities and the product-form reduction of the
-final state.
+final state.  The coin and oracle builders also take an array of angles and
+return a stack; :func:`run_reduced` forms each step's product S C Q from such
+stacks, a fixed number of steps at a time, and advances the state by one
+matrix-vector product per step.
 """
 
 from __future__ import annotations
@@ -24,9 +27,8 @@ from functools import cached_property
 
 import numpy as np
 
-from . import fullspace
 from .chebyshev import collapse_phases
-from .fullspace import BipartiteInstance, StateVector, simulate
+from .fullspace import simulate
 from .schedule import AngleSchedule, gamma_grids
 
 # Basis labels |pc> (position class, coin class) per dimension.
@@ -133,13 +135,20 @@ def shift_matrix(model: ReducedModel) -> np.ndarray:
     return np.eye(model.dim, dtype=complex)[[model.labels.index(c + p) for p, c in model.labels]]
 
 
-def oracle_matrix(model: ReducedModel, beta: float) -> np.ndarray:
-    return np.diag(np.where(model.marked[:, 0], np.exp(1j * beta), 1.0 + 0j))
+def oracle_matrix(model: ReducedModel, beta) -> np.ndarray:
+    """Diagonal phase e^{i beta} on the marked positions.  An array of n
+    angles gives an (n, d, d) stack, a scalar one (d, d) matrix."""
+    phases = np.where(model.marked[:, 0], np.exp(1j * np.asarray(beta))[..., None], 1.0 + 0j)
+    Q = np.zeros(phases.shape + (model.dim,), dtype=complex)
+    Q[..., range(model.dim), range(model.dim)] = phases
+    return Q
 
 
-def coin_matrix(model: ReducedModel, alpha: float) -> np.ndarray:
-    """(1 - e^{-i alpha}) P - I, a fresh array."""
-    return (1.0 - np.exp(-1j * alpha)) * model.projector - np.eye(model.dim)
+def coin_matrix(model: ReducedModel, alpha) -> np.ndarray:
+    """(1 - e^{-i alpha}) P - I, a fresh array.  An array of n angles gives an
+    (n, d, d) stack, a scalar one (d, d) matrix."""
+    c = 1.0 - np.exp(-1j * np.asarray(alpha))
+    return c[..., None, None] * model.projector - np.eye(model.dim)
 
 
 def rotation_r(model: ReducedModel, theta: float) -> np.ndarray:
@@ -159,18 +168,35 @@ def mixer_a(model: ReducedModel, theta: float) -> np.ndarray:
 
 def reduced_success_probability(state: np.ndarray, model: ReducedModel) -> float:
     """Two-register marked mass: components whose label contains u or t."""
-    return float(np.sum(np.abs(state[model.hit_indices]) ** 2))
+    hits = state[model.hit_indices]
+    return float(np.vdot(hits, hits).real)
+
+
+_CHUNK = 64  # steps per stack of step matrices; a whole run's stack can take tens of MB
+
+
+def _steps(model: ReducedModel, schedule: AngleSchedule):
+    """One callable ``M @ state`` per scheduled step, M = S C(alpha_k) Q(beta_k).
+
+    The matrices are built ``_CHUNK`` steps at a time, one builder call each.
+    """
+    S = shift_matrix(model)
+    for start in range(0, schedule.h, _CHUNK):
+        chunk = slice(start, start + _CHUNK)
+        for M in S @ coin_matrix(model, schedule.alphas[chunk]) @ oracle_matrix(model, schedule.betas[chunk]):
+            yield M.__matmul__
 
 
 def run_reduced(model: ReducedModel, schedule: AngleSchedule):
-    """Apply the scheduled steps inside the invariant subspace."""
-    S = shift_matrix(model)
+    """Apply the scheduled steps inside the invariant subspace, one product
+    matrix per step; see :func:`robustwalk.fullspace.simulate` for the return
+    value and the unitarity check."""
     return simulate(
         reduced_initial_state(model),
-        lambda state, alpha, beta: S @ (coin_matrix(model, alpha) @ (oracle_matrix(model, beta) @ state)),
+        _steps(model, schedule),
         lambda state: reduced_success_probability(state, model),
-        np.linalg.norm,
-        schedule,
+        lambda state: math.sqrt(np.vdot(state, state).real),
+        schedule.kind,
     )
 
 
@@ -306,74 +332,3 @@ def verify_reduction(model: ReducedModel, schedule: AngleSchedule) -> dict:
         "tolerance": 1e-9,
         "ok": deviation <= 1e-9,
     }
-
-
-# ---------------------------------------------------------------------------
-# embedding of the reduced basis into the full arc space
-# ---------------------------------------------------------------------------
-
-def reduced_basis_vectors(instance: BipartiteInstance) -> list[StateVector]:
-    """The invariant-subspace basis as explicit full-space states.
-
-    Requires every vertex class of the labels to be nonempty (0 < n_l < N_l,
-    and for two-sided marking 0 < n_r < N_r).  Order matches the reduced
-    components: |pc> is uniform over the arcs from class p to class c.
-    """
-    N_l, N_r = instance.N_l, instance.N_r
-    ml, mr = instance.marked_left, instance.marked_right
-    classes = {k: sorted(v) for k, v in zip("uvts", (ml, set(range(N_l)) - ml, mr, set(range(N_r)) - mr))}
-    labels = LABELS[8 if instance.marked_right else 4]
-    if any(not classes[k] for k in "".join(labels)):
-        raise ValueError("every vertex class of the basis needs a vertex")
-
-    def embed(p: str, c: str) -> StateVector:
-        state = StateVector(np.zeros((N_l, N_r), dtype=complex), np.zeros((N_r, N_l), dtype=complex))
-        rows, cols = classes[p], classes[c]
-        block = state.lr if p in "uv" else state.rl
-        block[np.ix_(rows, cols)] = 1.0 / math.sqrt(len(rows) * len(cols))
-        return state
-
-    return [embed(p, c) for p, c in labels]
-
-
-def project_onto_reduced(state: StateVector, basis: list[StateVector]) -> np.ndarray:
-    """Coefficients of a full-space state in the reduced basis."""
-    flat = state.flatten()
-    return np.array([np.vdot(b.flatten(), flat) for b in basis])
-
-
-def conjugate_into_reduced(operator, basis: list[StateVector]) -> np.ndarray:
-    """Matrix of a full-space operator restricted to the reduced basis.
-
-    ``operator`` maps StateVector -> StateVector and may update its input in
-    place (the full-space operators do), so it is given a copy of each basis
-    vector.
-    """
-    dim = len(basis)
-    mat = np.zeros((dim, dim), dtype=complex)
-    for j, b in enumerate(basis):
-        image = operator(b.copy())
-        mat[:, j] = project_onto_reduced(image, basis)
-    return mat
-
-
-def subspace_leakage(operator, basis: list[StateVector]) -> float:
-    """Largest norm of the image component outside the subspace.
-
-    ``operator`` gets a copy of each basis vector, as in
-    :func:`conjugate_into_reduced`.
-    """
-    worst = 0.0
-    for b in basis:
-        image = operator(b.copy()).flatten()
-        for other in basis:
-            image = image - np.vdot(other.flatten(), image) * other.flatten()
-        worst = max(worst, float(np.linalg.norm(image)))
-    return worst
-
-
-def mirror_instance(instance: BipartiteInstance) -> BipartiteInstance:
-    """Swap the two sides of an instance (marked sets follow)."""
-    return fullspace.BipartiteInstance(
-        instance.N_r, instance.N_l, instance.marked_right, instance.marked_left
-    )

@@ -1,0 +1,74 @@
+"""Embedding of the reduced basis into the full arc space, for the tests that
+check the invariant-subspace model against the full-space operators."""
+
+import math
+
+import numpy as np
+
+from robustwalk.fullspace import BipartiteInstance, StateVector
+from robustwalk.reduced import LABELS
+
+
+def reduced_basis_vectors(instance: BipartiteInstance) -> list[StateVector]:
+    """The invariant-subspace basis as explicit full-space states.
+
+    Requires every vertex class of the labels to be nonempty (0 < n_l < N_l,
+    and for two-sided marking 0 < n_r < N_r).  Order matches the reduced
+    components: |pc> is uniform over the arcs from class p to class c.
+    """
+    N_l, N_r = instance.N_l, instance.N_r
+    ml, mr = instance.marked_left, instance.marked_right
+    classes = {k: sorted(v) for k, v in zip("uvts", (ml, set(range(N_l)) - ml, mr, set(range(N_r)) - mr))}
+    labels = LABELS[8 if instance.marked_right else 4]
+    if any(not classes[k] for k in "".join(labels)):
+        raise ValueError("every vertex class of the basis needs a vertex")
+
+    def embed(p: str, c: str) -> StateVector:
+        state = StateVector(np.zeros((N_l, N_r), dtype=complex), np.zeros((N_r, N_l), dtype=complex))
+        rows, cols = classes[p], classes[c]
+        block = state.lr if p in "uv" else state.rl
+        block[np.ix_(rows, cols)] = 1.0 / math.sqrt(len(rows) * len(cols))
+        return state
+
+    return [embed(p, c) for p, c in labels]
+
+
+def project_onto_reduced(state: StateVector, basis: list[StateVector]) -> np.ndarray:
+    """Coefficients of a full-space state in the reduced basis."""
+    flat = state.flatten()
+    return np.array([np.vdot(b.flatten(), flat) for b in basis])
+
+
+def conjugate_into_reduced(operator, basis: list[StateVector]) -> np.ndarray:
+    """Matrix of a full-space operator restricted to the reduced basis.
+
+    ``operator`` maps StateVector -> StateVector and may update its input in
+    place (the full-space operators do), so it is given a copy of each basis
+    vector.
+    """
+    dim = len(basis)
+    mat = np.zeros((dim, dim), dtype=complex)
+    for j, b in enumerate(basis):
+        image = operator(b.copy())
+        mat[:, j] = project_onto_reduced(image, basis)
+    return mat
+
+
+def subspace_leakage(operator, basis: list[StateVector]) -> float:
+    """Largest norm of the image component outside the subspace.
+
+    ``operator`` gets a copy of each basis vector, as in
+    :func:`conjugate_into_reduced`.
+    """
+    worst = 0.0
+    for b in basis:
+        image = operator(b.copy()).flatten()
+        for other in basis:
+            image = image - np.vdot(other.flatten(), image) * other.flatten()
+        worst = max(worst, float(np.linalg.norm(image)))
+    return worst
+
+
+def mirror_instance(instance: BipartiteInstance) -> BipartiteInstance:
+    """Swap the two sides of an instance (marked sets follow)."""
+    return BipartiteInstance(instance.N_r, instance.N_l, instance.marked_right, instance.marked_left)

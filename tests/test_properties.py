@@ -1,6 +1,6 @@
 """Property-based checks: engine equivalence and side symmetry over arbitrary
-marked sets and angles, and the 1 - epsilon floor of the closed form above the
-step bound.
+marked sets and angles, and the 1 - epsilon floor of the closed form and of
+the simulation above the step bound.
 
 Derandomized, so that every run draws the same examples.
 """
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from robustwalk import dense, fullspace, reduced
 from robustwalk.analysis import closed_form_ph
 from robustwalk.fullspace import BipartiteInstance
-from robustwalk.schedule import AngleSchedule, MarkingScenario, scenario_from_counts, step_bound
+from robustwalk.schedule import AngleSchedule, MarkingScenario, build_schedule, scenario_from_counts, step_bound
 
 ANGLE = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, allow_nan=False)
 
@@ -70,3 +70,27 @@ def test_closed_form_keeps_floor_from_bound(counts, epsilon, unknown):
     bound = step_bound(N_l, N_r, scenario, epsilon)
     for h in range(max(bound, 3), 3 * bound + 1):
         assert closed_form_ph(h, epsilon, *counts) >= 1.0 - epsilon - 1e-9, h
+
+
+@st.composite
+def floor_runs(draw):
+    """Counts, epsilon and 5 step counts h in [bound, 3 bound]."""
+    N_l = draw(st.integers(1, 10**4))
+    N_r = draw(st.integers(1, 10**4))
+    n_l = draw(st.integers(0, min(N_l, 50)))
+    n_r = draw(st.integers(0 if n_l else 1, min(N_r, 50)))
+    epsilon = draw(st.floats(0.01, 1.0))
+    bound = step_bound(N_l, N_r, scenario_from_counts(n_l, n_r), epsilon)
+    hs = draw(st.lists(st.integers(max(bound, 3), 3 * bound), min_size=5, max_size=5))
+    return (N_l, N_r, n_l, n_r), epsilon, hs
+
+
+@settings(max_examples=50, derandomize=True, database=None, deadline=None)
+@given(floor_runs())
+def test_simulation_keeps_floor_from_bound(run):
+    counts, epsilon, hs = run
+    model = reduced.build_model(*counts)
+    for h in hs:
+        p = reduced.run_reduced(model, build_schedule(h, epsilon))[1].final()
+        assert p >= 1.0 - epsilon - 1e-9, h
+        assert abs(p - closed_form_ph(h, epsilon, *counts)) <= 1e-9, h

@@ -3,29 +3,32 @@ import math
 import numpy as np
 import pytest
 
-from robustwalk import fullspace
+from robustwalk import fullspace, reduced
 from robustwalk.fullspace import BipartiteInstance
 from robustwalk.reduced import (
     ReducedModel,
     build_model,
     coin_matrix,
-    conjugate_into_reduced,
     global_phase_deviation,
-    mirror_instance,
     mixer_a,
     oracle_matrix,
-    project_onto_reduced,
-    reduced_basis_vectors,
     reduced_initial_state,
     rotation_r,
     run_reduced,
     shift_matrix,
-    subspace_leakage,
     verify_identities,
     verify_reduction,
     zero_bar,
 )
-from robustwalk.schedule import build_schedule, gamma_grids, oscillatory_schedule
+from robustwalk.schedule import AngleSchedule, build_schedule, gamma_grids, oscillatory_schedule
+
+from reduced_embedding import (
+    conjugate_into_reduced,
+    mirror_instance,
+    project_onto_reduced,
+    reduced_basis_vectors,
+    subspace_leakage,
+)
 
 DIM4_COUNTS = (5, 4, 1, 0)
 DIM8_COUNTS = (5, 4, 2, 1)
@@ -134,6 +137,17 @@ def test_operators_unitary_random_draws():
         np.testing.assert_allclose(s @ s, eye, atol=1e-15)
 
 
+@pytest.mark.parametrize("build", [coin_matrix, oracle_matrix])
+def test_angle_array_builds_scalar_stack(build):
+    angles = np.random.default_rng(16).uniform(-2 * np.pi, 2 * np.pi, 70)
+    for m in models():
+        stack = build(m, angles)
+        assert stack.shape == (len(angles), m.dim, m.dim)
+        np.testing.assert_array_equal(stack, np.stack([build(m, float(a)) for a in angles]))
+        assert build(m, float(angles[0])).shape == (m.dim, m.dim)
+        assert build(m, angles[:0]).shape == (0, m.dim, m.dim)
+
+
 @pytest.mark.parametrize("counts", CLOSURE_COUNTS)
 def test_subspace_closure_and_leakage(counts):
     # conjugating the full-space operators into the embedded basis reproduces
@@ -209,6 +223,41 @@ def test_run_reduced_mirrored_matches_fullspace():
     # the mirrored instance itself walks to the same series
     _, mirrored = fullspace.run(mirror_instance(inst), sched)
     np.testing.assert_allclose(full.probabilities(), mirrored.probabilities(), atol=1e-12)
+
+
+@pytest.mark.parametrize("counts", [DIM4_COUNTS, DIM8_COUNTS, (5, 4, 0, 2)], ids=["dim4", "dim8", "mirrored"])
+@pytest.mark.parametrize("h", [0, 1, 63, 64, 65, 200])
+def test_run_reduced_matches_per_step_products_across_chunks(counts, h):
+    model = build_model(*counts)
+    rng = np.random.default_rng(h)
+    sched = AngleSchedule(h, None, *rng.uniform(-2 * np.pi, 2 * np.pi, (2, h)), "oscillatory")
+    psi = reduced_initial_state(model)
+    want = [reduced.reduced_success_probability(psi, model)]
+    for a, b in zip(sched.alphas, sched.betas):
+        psi = shift_matrix(model) @ (coin_matrix(model, a) @ (oracle_matrix(model, b) @ psi))
+        want.append(reduced.reduced_success_probability(psi, model))
+    state, series = run_reduced(model, sched)
+    assert len(series.entries) == h + 1
+    assert [k for k, _ in series.entries] == list(range(h + 1))
+    np.testing.assert_allclose(series.probabilities(), want, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(state, psi, rtol=0, atol=1e-13)
+
+
+def test_drift_names_the_step_past_a_chunk(monkeypatch):
+    original = reduced.coin_matrix
+    built = []
+
+    def scale_step_70(model, alphas):
+        stack = original(model, alphas)
+        k = 69 - len(built)
+        if 0 <= k < len(stack):
+            stack[k] *= 1.001
+        built.extend(alphas)
+        return stack
+
+    monkeypatch.setattr(reduced, "coin_matrix", scale_step_70)
+    with pytest.raises(AssertionError, match=r"norm drifted to .* at step 70$"):
+        run_reduced(build_model(*DIM8_COUNTS), oscillatory_schedule(100))
 
 
 def test_epsilon_one_equals_oscillatory():
