@@ -7,11 +7,9 @@ verification suites that tie them together.
 
 from .analysis import (
     CompareRow,
-    RobustnessReport,
     closed_form_ph,
     closed_form_ph_one_side,
     closed_form_ph_two_sides,
-    robustness_check,
     sweep,
 )
 from .chebyshev import (
@@ -69,7 +67,6 @@ __all__ = [
     "MarkingScenario",
     "PhaseSequence",
     "ReducedModel",
-    "RobustnessReport",
     "StateVector",
     "SuccessSeries",
     "apply_coin",
@@ -92,7 +89,6 @@ __all__ = [
     "oscillatory_schedule",
     "quasi_chebyshev",
     "reduced_initial_state",
-    "robustness_check",
     "rotation_r",
     "run",
     "run_reduced",

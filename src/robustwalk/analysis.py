@@ -9,12 +9,10 @@ reported as-is, not treated as an error.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import partial
+from dataclasses import dataclass
 
 from .chebyshev import chebyshev_t
-from .reduced import build_model, run_reduced
-from .schedule import build_schedule, gamma_grids, oscillatory_schedule, scenario_from_counts, step_bound
+from .schedule import build_schedule, gamma_grids, oscillatory_schedule
 
 
 def closed_form_ph_one_side(h: int, epsilon: float, ratio_l: float) -> float:
@@ -61,22 +59,6 @@ def closed_form_ph(h: int, epsilon: float, N_l: int, N_r: int, n_l: int, n_r: in
     raise ValueError("at least one marked vertex is required")
 
 
-@dataclass
-class RobustnessReport:
-    """Floor check over a step-count range."""
-
-    floor: float
-    h_start: int
-    h_max: int
-    min_p: float
-    min_h: int
-    violations: list = field(default_factory=list)
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
 @dataclass(frozen=True)
 class CompareRow:
     """Success probabilities at step count h; None where a curve was not computed."""
@@ -115,17 +97,3 @@ def sweep(
         rows.append(CompareRow(h, p_robust, osc.get(h), p_closed_form))
     return rows
 
-
-def robustness_check(N_l: int, N_r: int, n_l: int, n_r: int, epsilon: float, h_max: int) -> RobustnessReport:
-    """Run the robust schedule for every h from the step bound to h_max and
-    assert the 1 - epsilon floor (with 1e-9 slack)."""
-    bound = step_bound(N_l, N_r, scenario_from_counts(n_l, n_r), epsilon)
-    h_start = max(bound, 3)
-    if h_max < h_start:
-        raise ValueError(f"h_max {h_max} is below the step bound {h_start}")
-    counts = (N_l, N_r, n_l, n_r)
-    rows = sweep(partial(run_reduced, build_model(*counts)), counts, epsilon, h_max, h_start, oscillatory=False)
-    floor = 1.0 - epsilon
-    worst = min(rows, key=lambda row: row.p_robust)
-    violations = [row.h for row in rows if row.p_robust < floor - 1e-9]
-    return RobustnessReport(floor, h_start, h_max, worst.p_robust, worst.h, violations)

@@ -3,9 +3,13 @@
 Operators are deliberately independent of :mod:`robustwalk.fullspace`: they
 are built as explicit matrices straight from their definitions (index grids
 over the arcs, addressed through :func:`left_arc` and :func:`right_arc`; no
-code shared with the structured simulator) and applied by plain matrix-vector
-products, one step callable per scheduled (alpha, beta); only the step
-driver (:func:`robustwalk.fullspace.simulate`) is shared.  This is the
+code shared with the structured simulator); only the step driver
+(:func:`robustwalk.fullspace.simulate`) is shared.  :func:`run_dense` builds
+the shift S, the coin projector P and the marked diagonal once per run, and
+one step with angles (alpha, beta) is S ((1 - e^{-i alpha}) P - I) Q(beta)
+applied to the state: a phase vector for the diagonal oracle Q and two dense
+matrix-vector products.  :func:`coin_matrix` and :func:`oracle_matrix` build
+the full per-step matrices as references for the tests.  This is the
 cross-check oracle for the structured simulator, intended for 2 * N_l * N_r
 up to a few hundred.
 
@@ -99,27 +103,20 @@ def marked_arc_mask(instance: BipartiteInstance) -> np.ndarray:
 def run_dense(instance: BipartiteInstance, schedule: AngleSchedule):
     """Apply the scheduled steps via explicit matrices; mirrors fullspace.run.
 
-    The angle-independent pieces (shift, coin projector, marked diagonal) are
-    assembled once; each step then multiplies three dense matrices into the
-    state.
+    The shift, coin projector and marked diagonal are assembled once.  Each
+    step applies the oracle's diagonal as a phase vector, the coin
+    (1 - e^{-i alpha}) P - I through its projector and the shift as a dense
+    matrix-vector product.
     """
     mask = marked_arc_mask(instance)
     S = shift_matrix(instance)
     P = coin_projector(instance)
-    eye = np.eye(dimension(instance), dtype=complex)
     marked = marked_positions(instance)
-    # The per-step coin and oracle matrices are refilled in place: allocating
-    # and freeing them on every step makes the allocator hand their pages back
-    # to the OS between steps, doubling the cost of a run.
-    C = np.empty_like(P)
-    Q = np.zeros_like(P)
-    diagonal = np.diag_indices_from(Q)
 
     def step(alpha, beta):
         def apply(psi):
-            np.subtract(np.multiply(1.0 - np.exp(-1j * alpha), P, out=C), eye, out=C)
-            Q[diagonal] = np.where(marked, np.exp(1j * beta), 1.0 + 0.0j)
-            return S @ (C @ (Q @ psi))
+            psi = np.where(marked, np.exp(1j * beta), 1.0 + 0.0j) * psi
+            return S @ ((1.0 - np.exp(-1j * alpha)) * (P @ psi) - psi)
 
         return apply
 
@@ -128,5 +125,4 @@ def run_dense(instance: BipartiteInstance, schedule: AngleSchedule):
         map(step, schedule.alphas, schedule.betas),
         lambda psi: float(np.sum(np.abs(psi[mask]) ** 2)),
         np.linalg.norm,
-        schedule.kind,
     )

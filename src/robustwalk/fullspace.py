@@ -114,9 +114,8 @@ class StateVector:
 
 @dataclass
 class SuccessSeries:
-    """Success probability after each step, tagged by method."""
+    """Success probability after each step, as (k, p) entries."""
 
-    method: str
     entries: list = field(default_factory=list)
 
     def probabilities(self) -> np.ndarray:
@@ -126,15 +125,14 @@ class SuccessSeries:
         return self.entries[-1][1]
 
 
-def simulate(state, steps, probability, norm, kind: str):
+def simulate(state, steps, probability, norm):
     """Drive one walk: ``state = step(state)`` for each callable in ``steps``.
 
     ``probability(state)`` gives the success probability and ``norm(state)``
-    the state norm; ``kind`` tags the series.  Returns the final state and
-    the per-step success series (entry 0 is the initial state).  Raises if
-    unitarity drifts beyond 1e-10.
+    the state norm.  Returns the final state and the per-step success series
+    (entry 0 is the initial state).  Raises if unitarity drifts beyond 1e-10.
     """
-    series = SuccessSeries(kind, [(0, probability(state))])
+    series = SuccessSeries([(0, probability(state))])
     for k, step in enumerate(steps, start=1):
         state = step(state)
         nrm = float(norm(state))
@@ -236,5 +234,4 @@ def run(instance: BipartiteInstance, schedule: AngleSchedule):
         map(step, schedule.alphas, schedule.betas),
         lambda state: success_probability(state, instance),
         StateVector.norm,
-        schedule.kind,
     )

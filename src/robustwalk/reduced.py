@@ -196,7 +196,6 @@ def run_reduced(model: ReducedModel, schedule: AngleSchedule):
         _steps(model, schedule),
         lambda state: reduced_success_probability(state, model),
         lambda state: math.sqrt(np.vdot(state, state).real),
-        schedule.kind,
     )
 
 

@@ -8,7 +8,6 @@ from robustwalk.analysis import (
     closed_form_ph,
     closed_form_ph_one_side,
     closed_form_ph_two_sides,
-    robustness_check,
     sweep,
 )
 from robustwalk.chebyshev import chebyshev_t, gamma_params
@@ -78,18 +77,6 @@ def test_one_minus_p_bounded_by_epsilon_inside_interval():
                 ratio = 1.0 - x * x
                 if ratio > 0.0:
                     assert 1.0 - closed_form_ph_one_side(h, eps, ratio) <= eps * (1 + 1e-9)
-
-
-def test_robustness_check_fig_instance():
-    report = robustness_check(*FIG_COUNTS, epsilon=0.1, h_max=60)
-    assert report.ok
-    assert report.h_start == 16
-    assert report.min_p >= 0.9 - 1e-9
-
-
-def test_robustness_check_rejects_small_range():
-    with pytest.raises(ValueError):
-        robustness_check(*FIG_COUNTS, epsilon=0.1, h_max=10)
 
 
 def test_oscillatory_violates_floor_on_fig_instance():

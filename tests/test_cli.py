@@ -1,6 +1,15 @@
-import pytest
+import io
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
-from robustwalk.cli import main
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from robustwalk import cli
+from robustwalk.cli import MAX_SIDE, MAX_STEPS, main
 
 
 def run_cli(capsys, *argv):
@@ -188,9 +197,9 @@ def test_sweep_rejects_non_utf8_config(tmp_path, capsys):
 
 @pytest.mark.parametrize("option", ["--convention", "--seed"])
 def test_sweep_has_no_convention_or_seed_option(capsys, option):
-    with pytest.raises(SystemExit) as exc:
-        main(["sweep", "--nl", "5", "--nr", "4", "--ml", "1", option, "3"])
-    assert exc.value.code == 2
+    code, _, err = run_cli(capsys, "sweep", "--nl", "5", "--nr", "4", "--ml", "1", option, "3")
+    assert code == 2
+    assert err.startswith("error: unrecognized arguments")
 
 
 @pytest.mark.parametrize("key", ["convention", "seed"])
@@ -211,6 +220,25 @@ def test_internal_value_error_is_not_a_usage_error(monkeypatch, capsys):
     monkeypatch.setattr(reduced, "coin_matrix", broken_coin)
     with pytest.raises(ValueError, match="internal fault"):
         main(["sweep", "--nl", "5", "--nr", "4", "--ml", "1", "--hmax", "4", "--engine", "reduced"])
+
+
+def _raise_internal_fault(*args, **kwargs):
+    raise ValueError("internal fault")
+
+
+@pytest.mark.parametrize(
+    "target,argv",
+    [
+        ("robustwalk.schedule.gamma_params", ["schedule", "--h", "5"]),
+        ("robustwalk.schedule.gamma_params", ["sweep", "--nl", "5", "--nr", "4", "--ml", "1", "--hmax", "4"]),
+        ("robustwalk.cli.step_bound_threshold", ["bound", "--nl", "600", "--nr", "1000", "--ml", "10"]),
+    ],
+    ids=["schedule", "sweep", "bound"],
+)
+def test_library_value_error_propagates(monkeypatch, target, argv):
+    monkeypatch.setattr(target, _raise_internal_fault)
+    with pytest.raises(ValueError, match="internal fault"):
+        main(argv)
 
 
 def test_sweep_norm_drift_exits_1(monkeypatch, capsys):
@@ -248,7 +276,135 @@ def test_verify_corrupted_coin_fails_naming_identity(capsys):
     assert "FAIL identity C=ARA" in out
 
 
-def test_missing_subcommand_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main([])
-    assert exc.value.code == 2
+def test_missing_subcommand_exits_2(capsys):
+    code, _, err = run_cli(capsys)
+    assert code == 2
+    assert err.startswith("error:")
+
+
+# In-process fuzzing of every input the parser owns.  Each drawn case is bad
+# input, so main must return 2 with an 'error:' line before any library entry
+# point runs; the entry points are replaced by a function that fails the test.
+
+SWEEP = ["sweep", "--nl", "5", "--nr", "4", "--ml", "1", "--hmax", "3"]
+BOUND = ["bound", "--nl", "5", "--nr", "4", "--ml", "1"]
+SCHEDULE = ["schedule", "--h", "5"]
+VERIFY = ["verify", "--trials", "1"]
+CONFIG_PATH = "<config>"
+LIBRARY_ENTRY_POINTS = ("sweep", "run_all", "build_schedule", "step_bound", "step_bound_threshold", "build_model")
+
+
+def _library_reached(*args, **kwargs):
+    raise RuntimeError("bad input reached the library")
+
+
+@st.composite
+def bad_marked(draw):
+    """A marked-vertex flag that names no valid vertex set: empty, or ids
+    with duplicates, whitespace and trailing commas plus one bad entry."""
+    command = draw(st.sampled_from(["sweep", "bound"]))
+    nl, nr = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    flag, side = draw(st.sampled_from([("--ml", nl), ("--mr", nr)]))
+    argv = [command, "--nl", str(nl), "--nr", str(nr)]
+    if draw(st.booleans()):
+        return argv + [flag, draw(st.sampled_from(["", " ", ",", " , ,", ",,,", "0"]))]
+    ids = draw(st.lists(st.integers(0, side - 1), max_size=4))
+    ids += draw(st.lists(st.sampled_from(ids), max_size=2)) if ids else []
+    bad = draw(
+        st.integers(max_value=-1).map(str)
+        | st.integers(min_value=side).map(str)
+        | st.sampled_from(["x", "1.5", "0x1", "1e3", "--", str(10**400)])
+    )
+    parts = draw(st.permutations([str(i) for i in ids] + [bad]))
+    pad = st.sampled_from(["", " ", "\t"])
+    value = ",".join(draw(pad) + part + draw(pad) for part in parts) + draw(st.sampled_from(["", ",", ", ,"]))
+    return argv + [flag, value]
+
+
+@st.composite
+def bad_epsilon(draw):
+    value = draw(
+        st.sampled_from(["nan", "inf", "-inf", "0", "1e-400", "2", "-0.1", "1.0000001", "abc", ""])
+        | st.floats().filter(lambda x: not 0.0 < x <= 1.0).map(repr)
+    )
+    return draw(st.sampled_from([SWEEP, BOUND, SCHEDULE])) + ["--epsilon", value]
+
+
+@st.composite
+def out_of_range_integer(draw):
+    argv, flag, lo, hi = draw(
+        st.sampled_from(
+            [
+                (SWEEP, "--nl", 1, MAX_SIDE),
+                (SWEEP, "--nr", 1, MAX_SIDE),
+                (SWEEP, "--hmax", 1, MAX_STEPS),
+                (BOUND, "--nl", 1, MAX_SIDE),
+                (BOUND, "--nr", 1, MAX_SIDE),
+                (SCHEDULE, "--h", 3, MAX_STEPS),
+                (VERIFY, "--trials", 1, None),
+                (VERIFY, "--seed", 0, None),
+            ]
+        )
+    )
+    values = st.integers(max_value=lo - 1)
+    if hi is not None:
+        values |= st.integers(min_value=hi + 1) | st.sampled_from([10**30, 10**400])
+    return argv + [flag, str(draw(values))]
+
+
+VALID_CONFIG_LINES = ["nl=5", "nr=4", "ml=1", "hmax=3", "engine=reduced", "# comment"]
+BAD_CONFIG_LINES = [
+    "frobnicate=1", "convention=appendix-c", "seed=3", "hma=4", "h=5", "=5", "help=1",
+    "command=sweep", "func=print", "config=other.cfg", "no equals sign",
+    "mode=", "engine=", "nl=", "nr=", "ml=", "epsilon=", "hmax=",
+    "nl=abc", "nl=0", "nl=-5", "hmax=2.5", f"hmax={10**30}", f"nl={10**400}",
+    "epsilon=x", "epsilon=nan", "epsilon=0", "mode=fast", "engine=--hmax", "ml=1,x",
+]
+
+
+@st.composite
+def bad_config(draw):
+    lines = [line.encode() for line in draw(st.permutations(VALID_CONFIG_LINES))]
+    if draw(st.booleans()):
+        bad = draw(st.sampled_from(BAD_CONFIG_LINES)).encode()
+    else:
+        bad = b"ml=1 # caf" + draw(st.binary(min_size=1, max_size=4).filter(_not_utf8))
+    lines.insert(draw(st.integers(0, len(lines))), bad)
+    return ["sweep", "--config", CONFIG_PATH], b"\n".join(lines) + b"\n"
+
+
+def _not_utf8(data: bytes) -> bool:
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError:
+        return True
+    return False
+
+
+BAD_INPUTS = st.one_of(
+    bad_marked().map(lambda argv: (argv, None)),
+    bad_epsilon().map(lambda argv: (argv, None)),
+    out_of_range_integer().map(lambda argv: (argv, None)),
+    st.sampled_from([[], ["frobnicate"], ["--nl", "5"], ["sweep", "--nl"]]).map(lambda argv: (argv, None)),
+    bad_config(),
+)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(BAD_INPUTS)
+def test_bad_input_exits_2_before_the_library_runs(case):
+    argv, config = case
+    err, out = io.StringIO(), io.StringIO()
+    unreachable = dict.fromkeys(LIBRARY_ENTRY_POINTS, _library_reached)
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(cli, **unreachable):
+        if config is not None:
+            path = os.path.join(tmp, "run.cfg")
+            with open(path, "wb") as fh:
+                fh.write(config)
+            argv = [path if arg == CONFIG_PATH else arg for arg in argv]
+        with redirect_stderr(err), redirect_stdout(out):
+            code = main(argv)
+    assert code == 2, (argv, err.getvalue())
+    assert err.getvalue().startswith("error:")
+    assert "Traceback" not in err.getvalue()
+    assert out.getvalue() == ""

@@ -3,6 +3,7 @@ import pytest
 
 from robustwalk import dense
 from robustwalk.fullspace import BipartiteInstance
+from robustwalk.schedule import build_schedule
 
 # Arc-by-arc definitions of the dense operators, one arc (or arc pair) at a
 # time; the vectorized builders must reproduce them entry for entry.
@@ -71,3 +72,19 @@ def test_operator_builds_match_arc_by_arc_definitions(inst):
     np.testing.assert_array_equal(dense.coin_projector(inst), coin_projector_by_arcs(inst))
     np.testing.assert_array_equal(dense.marked_positions(inst), marked_positions_by_arcs(inst))
     np.testing.assert_array_equal(dense.marked_arc_mask(inst), marked_arc_mask_by_arcs(inst))
+
+
+@pytest.mark.parametrize("inst", [INSTANCES[3], INSTANCES[2]], ids=["two-sided", "one-sided"])
+def test_run_dense_matches_definitional_matrices(inst):
+    schedule = build_schedule(5, 0.1)
+    psi = dense.initial_vector(inst)
+    expected = [psi]
+    S = dense.shift_matrix(inst)
+    for alpha, beta in zip(schedule.alphas, schedule.betas):
+        psi = S @ dense.coin_matrix(inst, alpha) @ dense.oracle_matrix(inst, beta) @ psi
+        expected.append(psi)
+    state, series = dense.run_dense(inst, schedule)
+    np.testing.assert_allclose(state, expected[-1], rtol=0, atol=1e-13)
+    mask = dense.marked_arc_mask(inst)
+    probabilities = [float(np.sum(np.abs(e[mask]) ** 2)) for e in expected]
+    np.testing.assert_allclose(series.probabilities(), probabilities, rtol=0, atol=1e-13)

@@ -8,7 +8,6 @@ PUBLIC = [
     "MarkingScenario",
     "PhaseSequence",
     "ReducedModel",
-    "RobustnessReport",
     "StateVector",
     "SuccessSeries",
     "apply_coin",
@@ -31,7 +30,6 @@ PUBLIC = [
     "oscillatory_schedule",
     "quasi_chebyshev",
     "reduced_initial_state",
-    "robustness_check",
     "rotation_r",
     "run",
     "run_reduced",
@@ -49,7 +47,7 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert robustwalk.__all__ == PUBLIC
-    assert len(PUBLIC) == 43
+    assert len(PUBLIC) == 41
 
 
 def test_every_public_name_resolves():
