@@ -82,7 +82,7 @@ def _marked(text: str):
 
 
 def _marked_ids(parsed, side_size: int, flag: str):
-    """One side's explicit ids, or range(count): a count is never expanded."""
+    """One side's explicit ids, or range(count), which only the full engine expands."""
     if isinstance(parsed, list):
         if any(i >= side_size for i in parsed):
             raise UsageError(f"{flag} ids exceed the side size {side_size}")
