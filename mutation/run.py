@@ -38,6 +38,13 @@ MUTANTS = [
         ["tests/test_properties.py::test_closed_form_keeps_floor_from_bound"],
     ),
     (
+        "step bound from the smallest N/n",
+        "schedule.py",
+        "math.sqrt(max(ratios))",
+        "math.sqrt(min(ratios))",
+        ["tests/test_schedule.py::test_bound_two_sides"],
+    ),
+    (
         "beta_h = -0.0",
         "schedule.py",
         "betas = 0.0 - alphas[::-1]",

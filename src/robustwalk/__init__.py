@@ -14,7 +14,6 @@ from .analysis import (
 )
 from .chebyshev import (
     GammaParams,
-    PhaseSequence,
     arccot,
     chebyshev_t,
     collapse_phases,
@@ -49,7 +48,6 @@ from .reduced import (
 )
 from .schedule import (
     AngleSchedule,
-    MarkingScenario,
     build_schedule,
     oscillatory_schedule,
     scenario_from_counts,
@@ -64,8 +62,6 @@ __all__ = [
     "BipartiteInstance",
     "CompareRow",
     "GammaParams",
-    "MarkingScenario",
-    "PhaseSequence",
     "ReducedModel",
     "StateVector",
     "SuccessSeries",

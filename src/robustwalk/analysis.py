@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .chebyshev import chebyshev_t
+from .reduced import build_model
 from .schedule import build_schedule, gamma_grids, oscillatory_schedule
 
 
@@ -49,14 +50,12 @@ def closed_form_ph_two_sides(h: int, epsilon: float, ratio_l: float, ratio_r: fl
 
 
 def closed_form_ph(h: int, epsilon: float, N_l: int, N_r: int, n_l: int, n_r: int) -> float:
-    """Dispatch on the marking pattern implied by the counts."""
-    if n_l >= 1 and n_r >= 1:
-        return closed_form_ph_two_sides(h, epsilon, n_l / N_l, n_r / N_r)
-    if n_l >= 1:
-        return closed_form_ph_one_side(h, epsilon, n_l / N_l)
-    if n_r >= 1:
-        return closed_form_ph_one_side(h, epsilon, n_r / N_r)
-    raise ValueError("at least one marked vertex is required")
+    """Dispatch on the marking pattern of the counts, with the sides swapped as
+    in :func:`robustwalk.reduced.build_model` so that one-sided marking is on the left."""
+    m = build_model(N_l, N_r, n_l, n_r)
+    if m.n_r:
+        return closed_form_ph_two_sides(h, epsilon, m.n_l / m.N_l, m.n_r / m.N_r)
+    return closed_form_ph_one_side(h, epsilon, m.n_l / m.N_l)
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,8 @@ arrays.  The key objects are:
 
 * ``chebyshev_t``        -- T_n(x), numerically stable for |x| > 1,
 * ``gamma_params``       -- the contraction factor gamma with T_h(1/gamma) = 1/sqrt(eps),
-* ``collapse_phases``    -- the phase-difference sequence under which the
-  complex three-term recurrence collapses to T_h(x/gamma)/T_h(1/gamma),
+* ``collapse_phases``    -- the phase sequence whose differences make the
+  complex three-term recurrence collapse to T_h(x/gamma)/T_h(1/gamma),
 * ``quasi_chebyshev``    -- that complex recurrence itself.
 """
 
@@ -56,7 +56,6 @@ class GammaParams:
     T_h(1/gamma) = 1/sqrt(eps).
     """
 
-    epsilon: float
     h: int
     gamma: float
     inv_gamma: float
@@ -73,27 +72,15 @@ def gamma_params(h: int, epsilon: float) -> GammaParams:
     if h < 1:
         raise ValueError(f"step count must be positive, got {h}")
     inv_gamma = math.cosh(math.acosh(1.0 / math.sqrt(epsilon)) / h)
-    return GammaParams(epsilon=epsilon, h=h, gamma=1.0 / inv_gamma, inv_gamma=inv_gamma)
+    return GammaParams(h=h, gamma=1.0 / inv_gamma, inv_gamma=inv_gamma)
 
 
-@dataclass(frozen=True)
-class PhaseSequence:
-    """Phases zeta_1..zeta_h anchored at zeta_1 = 0, stored with their diffs.
+def collapse_phases(h: int, gamma: float) -> np.ndarray:
+    """Phases zeta_1..zeta_h, anchored at zeta_1 = 0, whose differences make
+    the recurrence collapse.
 
-    diffs[k-1] = values[k] - values[k-1] exactly by construction; only the
-    differences enter the recurrence below.
-    """
-
-    h: int
-    diffs: np.ndarray
-    values: np.ndarray
-
-
-def collapse_phases(h: int, gamma: float) -> PhaseSequence:
-    """Phase sequence whose differences make the recurrence collapse.
-
-    diffs[k] = (-1)^k pi - 2 arccot(tan(k pi / h) sqrt(1 - gamma^2)) for
-    k = 1..h-1.  For odd h, k pi / h never hits pi/2, so tan stays finite.
+    zeta_{k+1} - zeta_k = (-1)^k pi - 2 arccot(tan(k pi / h) sqrt(1 - gamma^2))
+    for k = 1..h-1.  For odd h, k pi / h never hits pi/2, so tan stays finite.
     """
     if h < 1:
         raise ValueError(f"step count must be positive, got {h}")
@@ -102,25 +89,24 @@ def collapse_phases(h: int, gamma: float) -> PhaseSequence:
     k = np.arange(1, h)
     spread = math.sqrt(max(0.0, 1.0 - gamma * gamma))
     diffs = (-1.0) ** k * np.pi - 2.0 * arccot(np.tan(k * np.pi / h) * spread)
-    values = np.concatenate(([0.0], np.cumsum(diffs)))
-    # re-derive so values[k+1] - values[k] == diffs[k] holds bit-exactly
-    return PhaseSequence(h=h, diffs=np.diff(values), values=values)
+    return np.concatenate(([0.0], np.cumsum(diffs)))
 
 
-def quasi_chebyshev(h: int, x: float, phases: PhaseSequence) -> complex:
+def quasi_chebyshev(h: int, x: float, phases: np.ndarray) -> complex:
     """Run the damped complex recurrence to order h and return a_h(x).
 
     a_0 = 1, a_1 = x, a_k = x (1 + e^{-i d_k}) a_{k-1} - e^{-i d_k} a_{k-2}
-    with d_k the k-th phase difference.  With ``collapse_phases(h, gamma)``
+    with d_k = phases[k-1] - phases[k-2].  With ``collapse_phases(h, gamma)``
     the result equals T_h(x/gamma) / T_h(1/gamma) up to roundoff.
     """
     if h < 3 or h % 2 == 0:
         raise ValueError(f"the collapse identity needs odd h >= 3, got {h}")
-    if phases.h != h:
-        raise ValueError(f"phase sequence has {phases.h} entries, expected {h}")
+    if len(phases) != h:
+        raise ValueError(f"phase sequence has {len(phases)} entries, expected {h}")
+    diffs = np.diff(phases)
     prev = 1.0 + 0.0j
     cur = complex(x)
     for k in range(2, h + 1):
-        damp = np.exp(-1j * phases.diffs[k - 2])
+        damp = np.exp(-1j * diffs[k - 2])
         prev, cur = cur, x * (1.0 + damp) * cur - damp * prev
     return cur

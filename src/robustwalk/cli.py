@@ -34,7 +34,7 @@ from . import fullspace
 from .analysis import sweep
 from .fullspace import BipartiteInstance
 from .reduced import build_model, coin_matrix, run_reduced
-from .schedule import MarkingScenario, build_schedule, scenario_from_counts, step_bound, step_bound_threshold
+from .schedule import build_schedule, scenario_from_counts, step_bound, step_bound_threshold
 from .verification import run_all
 
 MAX_SIDE = 2**53  # largest N that a float holds exactly
@@ -183,7 +183,7 @@ def cmd_verify(args) -> int:
 def cmd_bound(args) -> int:
     n_l, n_r = map(len, _marked_sides(args))
     if args.unknown:
-        scenario = MarkingScenario("unknown")
+        scenario = (1, 1)  # one marked vertex per side is the worst case
     elif n_l == 0 and n_r == 0:
         raise UsageError("no marked counts given; use --ml/--mr or --unknown")
     else:
@@ -232,7 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(func=cmd_verify)
 
     bound = sub.add_parser("bound", parents=[graph], help="print the step bound for a scenario")
-    bound.add_argument("--unknown", action="store_true", help="no knowledge of the marked arrangement")
+    bound.add_argument("--unknown", action="store_true", help="assume one marked vertex per side (the worst case)")
     bound.set_defaults(func=cmd_bound)
 
     schedule = sub.add_parser("schedule", help="print the angle table for given h, epsilon")

@@ -290,7 +290,7 @@ def _anchored_values(count: int, gamma: float) -> np.ndarray:
     operator-product derivation pins the outermost phase at pi/2 (the
     argument of the outermost mixer in the unreduced chain).
     """
-    values = collapse_phases(count, gamma).values
+    values = collapse_phases(count, gamma)
     return values + (np.pi / 2.0 - values[-1])
 
 

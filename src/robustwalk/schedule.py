@@ -100,52 +100,32 @@ def oscillatory_schedule(h: int) -> AngleSchedule:
     return AngleSchedule(h=h, epsilon=None, alphas=angles, betas=angles.copy(), kind="oscillatory")
 
 
-@dataclass(frozen=True)
-class MarkingScenario:
-    """What is known about the marked vertices when choosing h.
+def step_bound_threshold(N_l: int, N_r: int, scenario: tuple[int, int], epsilon: float) -> float:
+    """Real-valued step threshold before rounding up: ln(2/sqrt(eps)) sqrt(N/n) + 1
+    at the largest N/n over the marked sides.
 
-    kind 'one-side' needs n_l >= 1, n_r = 0 (or the mirror image);
-    'two-sides' needs both counts >= 1; 'unknown' ignores the counts.
+    ``scenario`` is the pair of marked counts (n_l, n_r), 0 for an unmarked
+    side.  Unknown counts are (1, 1): one marked vertex per side is the worst case.
     """
-
-    kind: str
-    n_l: int = 0
-    n_r: int = 0
-
-
-def step_bound_threshold(N_l: int, N_r: int, scenario: MarkingScenario, epsilon: float) -> float:
-    """Real-valued step threshold before rounding up."""
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     if N_l < 1 or N_r < 1:
         raise ValueError("side sizes must be positive")
-    factor = math.log(2.0 / math.sqrt(epsilon))
-    if scenario.kind == "one-side":
-        if scenario.n_l >= 1 and scenario.n_r == 0:
-            ratio = N_l / scenario.n_l
-        elif scenario.n_r >= 1 and scenario.n_l == 0:
-            ratio = N_r / scenario.n_r
-        else:
-            raise ValueError("one-side scenario needs marked vertices on exactly one side")
-        return factor * math.sqrt(ratio) + 1.0
-    if scenario.kind == "two-sides":
-        if scenario.n_l < 1 or scenario.n_r < 1:
-            raise ValueError("two-sides scenario needs marked vertices on both sides")
-        return factor * max(math.sqrt(N_l / scenario.n_l), math.sqrt(N_r / scenario.n_r)) + 1.0
-    if scenario.kind == "unknown":
-        return factor * max(math.sqrt(N_l), math.sqrt(N_r)) + 1.0
-    raise ValueError(f"unknown scenario kind {scenario.kind!r}")
+    ratios = [N / n for N, n in zip((N_l, N_r), scenario) if n >= 1]
+    if not ratios:
+        raise ValueError("at least one marked vertex is required")
+    return math.log(2.0 / math.sqrt(epsilon)) * math.sqrt(max(ratios)) + 1.0
 
 
-def step_bound(N_l: int, N_r: int, scenario: MarkingScenario, epsilon: float) -> int:
+def step_bound(N_l: int, N_r: int, scenario: tuple[int, int], epsilon: float) -> int:
     """Smallest integer step count meeting the threshold for this scenario."""
     return math.ceil(step_bound_threshold(N_l, N_r, scenario, epsilon))
 
 
-def scenario_from_counts(n_l: int, n_r: int) -> MarkingScenario:
-    """Scenario implied by explicit marked counts."""
-    if n_l >= 1 and n_r >= 1:
-        return MarkingScenario("two-sides", n_l, n_r)
-    if n_l + n_r >= 1:
-        return MarkingScenario("one-side", n_l, n_r)
-    raise ValueError("at least one marked vertex is required")
+def scenario_from_counts(n_l: int, n_r: int) -> tuple[int, int]:
+    """The scenario (n_l, n_r) of explicit marked counts, after validating them."""
+    if n_l < 0 or n_r < 0:
+        raise ValueError("marked counts must be nonnegative")
+    if n_l + n_r < 1:
+        raise ValueError("at least one marked vertex is required")
+    return n_l, n_r

@@ -30,6 +30,14 @@ def test_bound_unknown(capsys):
     code, out, _ = run_cli(capsys, "bound", "--unknown", "--nl", "100", "--nr", "100", "--epsilon", "1")
     assert code == 0
     assert out.strip().splitlines()[1] == "bound 8"
+    # unknown counts bound like one marked vertex per side, whatever --ml/--mr say
+    for flags in (
+        ["--unknown", "--nl", "30", "--nr", "500"],
+        ["--unknown", "--nl", "500", "--nr", "30", "--ml", "7"],
+        ["--nl", "30", "--nr", "500", "--ml", "1", "--mr", "1"],
+    ):
+        code, out, _ = run_cli(capsys, "bound", *flags, "--epsilon", "0.1")
+        assert (code, out.splitlines()) == (0, ["threshold 42.242926101", "bound 43"]), flags
 
 
 def test_bound_without_counts_is_usage_error(capsys):

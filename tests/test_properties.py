@@ -8,13 +8,13 @@ Derandomized, so that every run draws the same examples.
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from robustwalk import dense, fullspace, reduced
 from robustwalk.analysis import closed_form_ph
 from robustwalk.fullspace import BipartiteInstance
-from robustwalk.schedule import AngleSchedule, MarkingScenario, build_schedule, scenario_from_counts, step_bound
+from robustwalk.schedule import AngleSchedule, build_schedule, scenario_from_counts, step_bound
 
 ANGLE = st.floats(min_value=-2 * math.pi, max_value=2 * math.pi, allow_nan=False)
 
@@ -64,9 +64,10 @@ def counted_graphs(draw):
 
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)
 @given(counted_graphs(), st.floats(0.01, 1.0), st.booleans())
+@example((600, 1000, 10, 0), 0.1, False)
 def test_closed_form_keeps_floor_from_bound(counts, epsilon, unknown):
     N_l, N_r, n_l, n_r = counts
-    scenario = MarkingScenario("unknown") if unknown else scenario_from_counts(n_l, n_r)
+    scenario = (1, 1) if unknown else scenario_from_counts(n_l, n_r)
     bound = step_bound(N_l, N_r, scenario, epsilon)
     for h in range(max(bound, 3), 3 * bound + 1):
         assert closed_form_ph(h, epsilon, *counts) >= 1.0 - epsilon - 1e-9, h

@@ -5,8 +5,6 @@ PUBLIC = [
     "BipartiteInstance",
     "CompareRow",
     "GammaParams",
-    "MarkingScenario",
-    "PhaseSequence",
     "ReducedModel",
     "StateVector",
     "SuccessSeries",
@@ -47,7 +45,7 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert robustwalk.__all__ == PUBLIC
-    assert len(PUBLIC) == 41
+    assert len(PUBLIC) == 39
 
 
 def test_every_public_name_resolves():

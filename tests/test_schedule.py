@@ -6,7 +6,6 @@ import pytest
 
 from robustwalk.chebyshev import arccot, gamma_params
 from robustwalk.schedule import (
-    MarkingScenario,
     build_schedule,
     gamma_grids,
     oscillatory_schedule,
@@ -117,44 +116,39 @@ def test_oscillatory_is_all_pi():
 # ---------------------------------------------------------------------------
 
 def test_bound_one_side_fig_instance():
-    scen = MarkingScenario("one-side", 10, 0)
-    assert step_bound_threshold(600, 1000, scen, 0.1) == pytest.approx(15.286968691949983, rel=1e-12)
-    assert step_bound(600, 1000, scen, 0.1) == 16
+    assert step_bound_threshold(600, 1000, (10, 0), 0.1) == pytest.approx(15.286968691949983, rel=1e-12)
+    assert step_bound(600, 1000, (10, 0), 0.1) == 16
 
 
 def test_bound_unknown_eps_one():
     for N in (25, 100, 400):
         want = math.ceil(math.log(2.0) * math.sqrt(N) + 1.0)
-        assert step_bound(N, N, MarkingScenario("unknown"), 1.0) == want
+        assert step_bound(N, N, (1, 1), 1.0) == want
 
 
 def test_bound_two_sides():
-    scen = MarkingScenario("two-sides", 10, 5)
     want = math.log(2.0 / math.sqrt(0.1)) * math.sqrt(200.0) + 1.0
-    assert step_bound_threshold(600, 1000, scen, 0.1) == pytest.approx(want, rel=1e-12)
-    assert step_bound(600, 1000, scen, 0.1) == 28
+    assert step_bound_threshold(600, 1000, (10, 5), 0.1) == pytest.approx(want, rel=1e-12)
+    assert step_bound(600, 1000, (10, 5), 0.1) == 28
 
 
 def test_bound_mirrored_one_side():
-    left = step_bound(30, 80, MarkingScenario("one-side", 3, 0), 0.2)
-    right = step_bound(80, 30, MarkingScenario("one-side", 0, 3), 0.2)
+    left = step_bound(30, 80, (3, 0), 0.2)
+    right = step_bound(80, 30, (0, 3), 0.2)
     assert left == right
 
 
 def test_bound_rejects_inconsistent_counts():
     with pytest.raises(ValueError):
-        step_bound(10, 10, MarkingScenario("one-side", 0, 0), 0.1)
+        step_bound(10, 10, (0, 0), 0.1)
     with pytest.raises(ValueError):
-        step_bound(10, 10, MarkingScenario("one-side", 1, 1), 0.1)
-    with pytest.raises(ValueError):
-        step_bound(10, 10, MarkingScenario("two-sides", 1, 0), 0.1)
-    with pytest.raises(ValueError):
-        step_bound(10, 10, MarkingScenario("unknown"), 0.0)
+        step_bound(10, 10, (1, 1), 0.0)
 
 
 def test_scenario_from_counts():
-    assert scenario_from_counts(2, 0).kind == "one-side"
-    assert scenario_from_counts(0, 4).kind == "one-side"
-    assert scenario_from_counts(1, 1).kind == "two-sides"
-    with pytest.raises(ValueError):
-        scenario_from_counts(0, 0)
+    assert scenario_from_counts(2, 0) == (2, 0)
+    assert scenario_from_counts(0, 4) == (0, 4)
+    assert scenario_from_counts(1, 1) == (1, 1)
+    for bad in ((0, 0), (-1, 3)):
+        with pytest.raises(ValueError):
+            scenario_from_counts(*bad)
