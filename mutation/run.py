@@ -66,6 +66,13 @@ MUTANTS = [
         ["tests/test_fullspace.py::test_coin_rl_mean_matches_fsum"],
     ),
     (
+        "whole rl block in one product",
+        "fullspace.py",
+        "_BLOCK_ROWS = 32",
+        "_BLOCK_ROWS = 1 << 30",
+        ["tests/test_fullspace.py::test_coin_rl_mean_matches_fsum"],
+    ),
+    (
         "chunk one angle short",
         "reduced.py",
         "chunk = slice(start, start + _CHUNK)",

@@ -13,16 +13,16 @@ that same object; a caller that needs its input afterwards passes a copy.
 :func:`initial_state` stores ``rl`` as the transpose of a C-ordered
 (N_l, N_r) array, so both ``lr`` and ``rl.T`` are C-ordered and indexed
 [u, v].  The shift then only swaps the two views, and the layout is the same
-after every step.  A step works in one state plus the coin's temporaries of
-one row chunk.  Results do not depend on the layout; other layouts (a
-C-ordered ``rl``) only run slower.
+after every step.  A step works in one state plus the coin's sums of each
+block of ``rl``, which it reads once.  Results do not depend on the layout;
+other layouts (a C-ordered ``rl``) only run slower.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 
@@ -107,10 +107,6 @@ class StateVector:
         """Copy that keeps each block's memory layout."""
         return StateVector(self.lr.copy(order="K"), self.rl.copy(order="K"))
 
-    def flatten(self) -> np.ndarray:
-        """Arc amplitudes as one vector: left-position arcs first."""
-        return np.concatenate([self.lr.ravel(), self.rl.ravel()])
-
 
 @dataclass
 class SuccessSeries:
@@ -161,25 +157,23 @@ def apply_shift(state: StateVector) -> StateVector:
     return state
 
 
-_CHUNK_ROWS = 32
-
-
-def _pairwise_row_sum(a: np.ndarray, shift=None) -> np.ndarray:
-    """Sum of the rows of ``a`` (less ``shift``), halving down to chunks."""
-    if len(a) > _CHUNK_ROWS:
-        half = len(a) // 2
-        return _pairwise_row_sum(a[:half], shift) + _pairwise_row_sum(a[half:], shift)
-    return (a if shift is None else a - shift).sum(axis=0)
+_BLOCK_ROWS = 32
 
 
 def _row_mean(a: np.ndarray) -> np.ndarray:
-    """Mean of the rows of ``a``: a pairwise sum, then one correction pass
-    m + mean(a - m) in the same order.  Both work on chunks of rows, so no
-    temporary is larger than a chunk.  A plain sum over axis 0 adds the rows
-    one by one and costs about two digits of a 1000 x 1000 walk."""
-    n = len(a)
-    m = _pairwise_row_sum(a) / n
-    return m + _pairwise_row_sum(a, m) / n
+    """Mean of the rows of ``a``: one BLAS product with a ones vector per block
+    of ``_BLOCK_ROWS`` rows reads each block once, and the block sums are added
+    pairwise as they come.  BLAS adds a block's rows in sequence, so blocks stay
+    short: 128-row blocks missed a ``math.fsum`` mean by over 3 ulps in up to
+    a fifth of random draws.  Contiguous blocks keep the result layout-independent."""
+    partials = []  # sums over 2**k blocks, k falling
+    for count, start in enumerate(range(0, len(a), _BLOCK_ROWS), start=1):
+        block = np.ascontiguousarray(a[start:start + _BLOCK_ROWS])
+        partials.append(np.ones(len(block)) @ block)
+        while count % 2 == 0:
+            partials.append(partials.pop(-2) + partials.pop())
+            count //= 2
+    return reduce(np.add, reversed(partials)) / len(a)
 
 
 def apply_coin(state: StateVector, alpha: float) -> StateVector:
@@ -188,7 +182,7 @@ def apply_coin(state: StateVector, alpha: float) -> StateVector:
     On each position's coin register this is (1 - e^{-i alpha}) times the mean
     over neighbors, minus the amplitude itself.  ``lr`` takes numpy's row
     means; the neighbors of a right position are a column of ``rl.T``, which
-    :func:`_row_mean` averages in pairwise order with a correction pass.
+    :func:`_row_mean` averages block by block, the block sums added pairwise.
     """
     c = 1.0 - np.exp(-1j * alpha)
     np.subtract(c * state.lr.mean(axis=1, keepdims=True), state.lr, out=state.lr)

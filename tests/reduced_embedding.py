@@ -9,6 +9,11 @@ from robustwalk.fullspace import BipartiteInstance, StateVector
 from robustwalk.reduced import LABELS
 
 
+def flatten(state: StateVector) -> np.ndarray:
+    """Arc amplitudes as one vector: left-position arcs first."""
+    return np.concatenate([state.lr.ravel(), state.rl.ravel()])
+
+
 def reduced_basis_vectors(instance: BipartiteInstance) -> list[StateVector]:
     """The invariant-subspace basis as explicit full-space states.
 
@@ -35,8 +40,8 @@ def reduced_basis_vectors(instance: BipartiteInstance) -> list[StateVector]:
 
 def project_onto_reduced(state: StateVector, basis: list[StateVector]) -> np.ndarray:
     """Coefficients of a full-space state in the reduced basis."""
-    flat = state.flatten()
-    return np.array([np.vdot(b.flatten(), flat) for b in basis])
+    flat = flatten(state)
+    return np.array([np.vdot(flatten(b), flat) for b in basis])
 
 
 def conjugate_into_reduced(operator, basis: list[StateVector]) -> np.ndarray:
@@ -62,9 +67,9 @@ def subspace_leakage(operator, basis: list[StateVector]) -> float:
     """
     worst = 0.0
     for b in basis:
-        image = operator(b.copy()).flatten()
+        image = flatten(operator(b.copy()))
         for other in basis:
-            image = image - np.vdot(other.flatten(), image) * other.flatten()
+            image = image - np.vdot(flatten(other), image) * flatten(other)
         worst = max(worst, float(np.linalg.norm(image)))
     return worst
 

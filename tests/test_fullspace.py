@@ -164,8 +164,8 @@ def test_operators_update_and_return_their_input():
 
 def test_in_place_operators_match_their_definitions():
     # bit-identical to the out-of-place formulas on the same input, in the
-    # layout initial_state uses; the rl coin mean is a compensated pairwise
-    # sum, so there the formula holds within 3 ulps
+    # layout initial_state uses; the rl coin mean adds blocks of rows
+    # pairwise, so there the formula holds within 3 ulps
     inst = BipartiteInstance(5, 3, frozenset({1, 4}), frozenset({2}))
     rng = np.random.default_rng(13)
     s = f_ordered(random_state(rng, 5, 3))
@@ -202,7 +202,7 @@ def test_initial_state_layout_survives_steps():
 
 def test_coin_rl_mean_matches_fsum():
     # 3000 neighbors per right position: adding the rows of rl.T one by one
-    # (a plain axis-0 mean) is 8.7 ulps off here, the compensated mean 1 ulp
+    # (a plain axis-0 mean) is 8.7 ulps off here, the blocked mean 1 ulp
     N_l, N_r = 3000, 4
     rng = np.random.default_rng(14)
     rl_t = (1.0 + 0.25 * rng.normal(size=(N_l, N_r))) + 1j * (2.0 + 0.25 * rng.normal(size=(N_l, N_r)))
@@ -215,11 +215,35 @@ def test_coin_rl_mean_matches_fsum():
     np.testing.assert_allclose(got, c * mean[:, None] - rl_t.T, rtol=0, atol=3 * ulp)
 
 
+@pytest.mark.parametrize("N_l, N_r", [(1, 7), (31, 7), (32, 7), (33, 7), (3 * 32 + 5, 7), (389, 7), (64, 2000)])
+def test_coin_rl_mean_across_block_edges(N_l, N_r):
+    # the coin sums rl.T in 32-row blocks: one partial block, one full block,
+    # a partial last block, odd block counts carried through the pairwise
+    # additions, and a BLAS product over 2000 columns
+    rng = np.random.default_rng(16)
+    rl_t = (1.0 + 0.25 * rng.normal(size=(N_l, N_r))) + 1j * (2.0 + 0.25 * rng.normal(size=(N_l, N_r)))
+    s = StateVector(np.zeros((N_l, N_r), dtype=complex), rl_t.copy().T)
+    alpha = 1.1
+    c = 1.0 - np.exp(-1j * alpha)
+    mean = np.array([complex(math.fsum(col.real), math.fsum(col.imag)) / N_l for col in rl_t.T])
+    got = apply_coin(s, alpha).rl
+    ulp = np.spacing(np.abs(rl_t).max())
+    np.testing.assert_allclose(got, c * mean[:, None] - rl_t.T, rtol=0, atol=3 * ulp)
+
+
 def test_layouts_give_the_same_results(monkeypatch):
-    # more rows of rl.T than one coin chunk, so the pairwise sum splits
-    inst = BipartiteInstance(70, 9, frozenset({3, 41}), frozenset({5}))
+    # 70 rows of rl.T are three coin blocks, so the block sums are added pairwise
+    _check_layouts_agree(monkeypatch, 70)
+
+
+def test_layouts_give_the_same_results_over_ten_blocks(monkeypatch):
+    _check_layouts_agree(monkeypatch, 300)
+
+
+def _check_layouts_agree(monkeypatch, N_l):
+    inst = BipartiteInstance(N_l, 9, frozenset({3, 41}), frozenset({5}))
     rng = np.random.default_rng(15)
-    s = random_state(rng, 70, 9)
+    s = random_state(rng, N_l, 9)
     ops = (apply_shift, lambda x: apply_coin(x, 0.8), lambda x: apply_oracle(x, -1.3, inst))
     for op in ops:
         a, b = op(c_ordered(s)), op(f_ordered(s))

@@ -24,6 +24,7 @@ from robustwalk.schedule import AngleSchedule, build_schedule, gamma_grids, osci
 
 from reduced_embedding import (
     conjugate_into_reduced,
+    flatten,
     mirror_instance,
     project_onto_reduced,
     reduced_basis_vectors,
@@ -110,8 +111,8 @@ def test_initial_state_is_projection_of_uniform_state(counts):
     coeffs = project_onto_reduced(fullspace.initial_state(inst), basis)
     np.testing.assert_allclose(coeffs, reduced_initial_state(model), atol=1e-12)
     # nothing of the uniform state lies outside the subspace
-    flat = fullspace.initial_state(inst).flatten()
-    residual = flat - sum(c * b.flatten() for c, b in zip(coeffs, basis))
+    flat = flatten(fullspace.initial_state(inst))
+    residual = flat - sum(c * flatten(b) for c, b in zip(coeffs, basis))
     assert np.linalg.norm(residual) <= 1e-12
 
 
