@@ -13,9 +13,9 @@ that same object; a caller that needs its input afterwards passes a copy.
 :func:`initial_state` stores ``rl`` as the transpose of a C-ordered
 (N_l, N_r) array, so both ``lr`` and ``rl.T`` are C-ordered and indexed
 [u, v].  The shift then only swaps the two views, and the layout is the same
-after every step.  A step works in one state plus the coin's sums of each
-block of ``rl``, which it reads once.  Results do not depend on the layout;
-other layouts (a C-ordered ``rl``) only run slower.
+after every step.  A step works in one state plus a few coin row sums, and
+the coin reads each block of ``rl`` once.  Results do not depend on the
+layout; other layouts (a C-ordered ``rl``) only run slower.
 """
 
 from __future__ import annotations
