@@ -58,6 +58,22 @@ MUTANTS = [
         "return gamma_params(h - 1, epsilon), gamma_params(h + 1, epsilon)",
         ["tests/test_schedule.py::test_even_alphas_use_both_grids"],
     ),
+    # one mutation, two rows: the coin angles and the collapse phases each
+    # catch it, so both go through the one grid-angle formula
+    (
+        "grid-angle spread from gamma, not gamma^2 (coin angles)",
+        "chebyshev.py",
+        "spread = math.sqrt(max(0.0, 1.0 - gamma * gamma))",
+        "spread = math.sqrt(max(0.0, 1.0 - gamma))",
+        ["tests/test_schedule.py::test_odd_alpha_frozen_value"],
+    ),
+    (
+        "grid-angle spread from gamma, not gamma^2 (collapse phases)",
+        "chebyshev.py",
+        "spread = math.sqrt(max(0.0, 1.0 - gamma * gamma))",
+        "spread = math.sqrt(max(0.0, 1.0 - gamma))",
+        ["tests/test_chebyshev.py::test_phase_diff_formula"],
+    ),
     (
         "plain rl column mean",
         "fullspace.py",
@@ -73,6 +89,20 @@ MUTANTS = [
         ["tests/test_fullspace.py::test_coin_rl_mean_matches_fsum"],
     ),
     (
+        "128-row rl blocks",
+        "fullspace.py",
+        "_BLOCK_ROWS = 32",
+        "_BLOCK_ROWS = 128",
+        ["tests/test_fullspace.py::test_coin_block_size_keeps_rl_mean_within_3_ulps"],
+    ),
+    (
+        "np.ascontiguousarray dropped from _row_mean",
+        "fullspace.py",
+        "block = np.ascontiguousarray(a[start:start + _BLOCK_ROWS])",
+        "block = a[start:start + _BLOCK_ROWS]",
+        ["tests/test_fullspace.py::test_layouts_give_the_same_results"],
+    ),
+    (
         "chunk one angle short",
         "reduced.py",
         "chunk = slice(start, start + _CHUNK)",
@@ -82,8 +112,8 @@ MUTANTS = [
     (
         "two-sided closed form with eps, not eps^2",
         "analysis.py",
-        "return 1.0 - epsilon**2 * (sum(terms) / len(grids))",
-        "return 1.0 - epsilon * (sum(terms) / len(grids))",
+        "return 1.0 - epsilon**2 * (sum(a * b",
+        "return 1.0 - epsilon * (sum(a * b",
         ["tests/test_analysis.py::test_closed_form_matches_simulation_small_grid"],
     ),
     (

@@ -18,7 +18,6 @@ from .chebyshev import (
     chebyshev_t,
     collapse_phases,
     gamma_params,
-    quasi_chebyshev,
 )
 from .fullspace import (
     BipartiteInstance,
@@ -83,7 +82,6 @@ __all__ = [
     "mixer_a",
     "oracle_matrix",
     "oscillatory_schedule",
-    "quasi_chebyshev",
     "reduced_initial_state",
     "rotation_r",
     "run",

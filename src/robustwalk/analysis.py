@@ -16,17 +16,25 @@ from .reduced import build_model
 from .schedule import build_schedule, gamma_grids, oscillatory_schedule
 
 
+def _grid_terms(h: int, epsilon: float, *ratios: float) -> list[list[float]]:
+    """T_n(x/gamma_n)^2 with x = sqrt(1 - ratio) over the grids n of an h-step
+    walk, one list per marked fraction."""
+    if h < 3:
+        raise ValueError(f"closed forms need h >= 3, got {h}")
+    for r in ratios:
+        if not 0.0 < r <= 1.0:
+            raise ValueError(f"marked fractions must be in (0, 1], got {r}")
+    xs = [math.sqrt(1.0 - r) for r in ratios]
+    grids = gamma_grids(h, epsilon)
+    return [[chebyshev_t(g.h, x * g.inv_gamma) ** 2 for g in grids] for x in xs]
+
+
 def closed_form_ph_one_side(h: int, epsilon: float, ratio_l: float) -> float:
     """Success probability after h steps with marked fraction ratio_l on one side:
     1 - eps * mean over the grids n of T_n(x/gamma_n)^2, with x = sqrt(1 - ratio).
     """
-    if h < 3:
-        raise ValueError(f"closed forms need h >= 3, got {h}")
-    if not 0.0 < ratio_l <= 1.0:
-        raise ValueError(f"marked fraction must be in (0, 1], got {ratio_l}")
-    x = math.sqrt(1.0 - ratio_l)
-    grids = gamma_grids(h, epsilon)
-    return 1.0 - epsilon * (sum(chebyshev_t(g.h, x * g.inv_gamma) ** 2 for g in grids) / len(grids))
+    (terms,) = _grid_terms(h, epsilon, ratio_l)
+    return 1.0 - epsilon * (sum(terms) / len(terms))
 
 
 def closed_form_ph_two_sides(h: int, epsilon: float, ratio_l: float, ratio_r: float) -> float:
@@ -34,19 +42,8 @@ def closed_form_ph_two_sides(h: int, epsilon: float, ratio_l: float, ratio_r: fl
     1 - eps^2 * mean over the grid pairs (n, m) = (first, last), (last, first)
     of T_n(x_l/gamma_n)^2 T_m(x_r/gamma_m)^2 (one pair for odd h).
     """
-    if h < 3:
-        raise ValueError(f"closed forms need h >= 3, got {h}")
-    for r in (ratio_l, ratio_r):
-        if not 0.0 < r <= 1.0:
-            raise ValueError(f"marked fractions must be in (0, 1], got {r}")
-    x_l = math.sqrt(1.0 - ratio_l)
-    x_r = math.sqrt(1.0 - ratio_r)
-    grids = gamma_grids(h, epsilon)
-    terms = (
-        chebyshev_t(g.h, x_l * g.inv_gamma) ** 2 * chebyshev_t(f.h, x_r * f.inv_gamma) ** 2
-        for g, f in zip(grids, grids[::-1])
-    )
-    return 1.0 - epsilon**2 * (sum(terms) / len(grids))
+    left, right = _grid_terms(h, epsilon, ratio_l, ratio_r)
+    return 1.0 - epsilon**2 * (sum(a * b for a, b in zip(left, right[::-1])) / len(left))
 
 
 def closed_form_ph(h: int, epsilon: float, N_l: int, N_r: int, n_l: int, n_r: int) -> float:
@@ -86,13 +83,13 @@ def sweep(
     oscillatory points come from a single h_max-step trajectory since its
     angles are constant.
     """
-    osc = dict(walk(oscillatory_schedule(h_max))[1].entries) if oscillatory else {}
+    osc = walk(oscillatory_schedule(h_max))[1].entries if oscillatory else None
     rows = []
     for h in range(h_min, h_max + 1):
         p_robust = p_closed_form = None
         if robust and h >= 3:
             p_robust = walk(build_schedule(h, epsilon))[1].final()
             p_closed_form = closed_form_ph(h, epsilon, *counts)
-        rows.append(CompareRow(h, p_robust, osc.get(h), p_closed_form))
+        rows.append(CompareRow(h, p_robust, osc[h] if oscillatory and h >= 0 else None, p_closed_form))
     return rows
 

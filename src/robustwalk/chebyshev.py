@@ -1,14 +1,17 @@
-"""Chebyshev polynomials of the first kind and the damped complex recurrence
-behind the robust angle schedules.
+"""Chebyshev polynomials of the first kind and the grid angles behind the
+robust angle schedules.
 
-Everything here is real/complex scalar math on plain floats and small numpy
-arrays.  The key objects are:
+Everything here is real scalar math on plain floats and small numpy arrays.
+The key objects are:
 
 * ``chebyshev_t``        -- T_n(x), numerically stable for |x| > 1,
 * ``gamma_params``       -- the contraction factor gamma with T_h(1/gamma) = 1/sqrt(eps),
-* ``collapse_phases``    -- the phase sequence whose differences make the
-  complex three-term recurrence collapse to T_h(x/gamma)/T_h(1/gamma),
-* ``quasi_chebyshev``    -- that complex recurrence itself.
+* ``grid_angle``         -- 2 arccot(tan(j pi / n) sqrt(1 - gamma^2)) on a grid
+  (n, gamma), the one owner of the spread sqrt(1 - gamma^2): the schedule's
+  coin angles and the collapse phases both take it,
+* ``collapse_phases``    -- the phase sequence whose differences d_k make the
+  damped complex recurrence a_k = x (1 + e^{-i d_k}) a_{k-1} - e^{-i d_k} a_{k-2}
+  collapse to T_h(x/gamma)/T_h(1/gamma).
 """
 
 from __future__ import annotations
@@ -75,38 +78,24 @@ def gamma_params(h: int, epsilon: float) -> GammaParams:
     return GammaParams(h=h, gamma=1.0 / inv_gamma, inv_gamma=inv_gamma)
 
 
+def grid_angle(j, n: int, gamma: float) -> np.ndarray:
+    """2 arccot(tan(j pi / n) sqrt(1 - gamma^2)) for an array of grid indices j
+    on the grid of n steps with contraction factor gamma."""
+    spread = math.sqrt(max(0.0, 1.0 - gamma * gamma))
+    return 2.0 * arccot(np.tan(j * np.pi / n) * spread)
+
+
 def collapse_phases(h: int, gamma: float) -> np.ndarray:
     """Phases zeta_1..zeta_h, anchored at zeta_1 = 0, whose differences make
     the recurrence collapse.
 
-    zeta_{k+1} - zeta_k = (-1)^k pi - 2 arccot(tan(k pi / h) sqrt(1 - gamma^2))
-    for k = 1..h-1.  For odd h, k pi / h never hits pi/2, so tan stays finite.
+    zeta_{k+1} - zeta_k = (-1)^k pi - grid_angle(k, h, gamma) for k = 1..h-1.
+    For odd h, k pi / h never hits pi/2, so tan stays finite.
     """
     if h < 1:
         raise ValueError(f"step count must be positive, got {h}")
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     k = np.arange(1, h)
-    spread = math.sqrt(max(0.0, 1.0 - gamma * gamma))
-    diffs = (-1.0) ** k * np.pi - 2.0 * arccot(np.tan(k * np.pi / h) * spread)
+    diffs = (-1.0) ** k * np.pi - grid_angle(k, h, gamma)
     return np.concatenate(([0.0], np.cumsum(diffs)))
-
-
-def quasi_chebyshev(h: int, x: float, phases: np.ndarray) -> complex:
-    """Run the damped complex recurrence to order h and return a_h(x).
-
-    a_0 = 1, a_1 = x, a_k = x (1 + e^{-i d_k}) a_{k-1} - e^{-i d_k} a_{k-2}
-    with d_k = phases[k-1] - phases[k-2].  With ``collapse_phases(h, gamma)``
-    the result equals T_h(x/gamma) / T_h(1/gamma) up to roundoff.
-    """
-    if h < 3 or h % 2 == 0:
-        raise ValueError(f"the collapse identity needs odd h >= 3, got {h}")
-    if len(phases) != h:
-        raise ValueError(f"phase sequence has {len(phases)} entries, expected {h}")
-    diffs = np.diff(phases)
-    prev = 1.0 + 0.0j
-    cur = complex(x)
-    for k in range(2, h + 1):
-        damp = np.exp(-1j * diffs[k - 2])
-        prev, cur = cur, x * (1.0 + damp) * cur - damp * prev
-    return cur

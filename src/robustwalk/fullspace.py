@@ -110,15 +110,16 @@ class StateVector:
 
 @dataclass
 class SuccessSeries:
-    """Success probability after each step, as (k, p) entries."""
+    """Success probability after each step: ``entries[k]`` after step k, entry 0
+    for the initial state."""
 
     entries: list = field(default_factory=list)
 
     def probabilities(self) -> np.ndarray:
-        return np.array([p for _, p in self.entries])
+        return np.array(self.entries)
 
     def final(self) -> float:
-        return self.entries[-1][1]
+        return self.entries[-1]
 
 
 def simulate(state, steps, probability, norm):
@@ -128,13 +129,13 @@ def simulate(state, steps, probability, norm):
     the state norm.  Returns the final state and the per-step success series
     (entry 0 is the initial state).  Raises if unitarity drifts beyond 1e-10.
     """
-    series = SuccessSeries([(0, probability(state))])
+    series = SuccessSeries([probability(state)])
     for k, step in enumerate(steps, start=1):
         state = step(state)
         nrm = float(norm(state))
         if abs(nrm - 1.0) > 1e-10:
             raise AssertionError(f"norm drifted to {nrm!r} at step {k}")
-        series.entries.append((k, probability(state)))
+        series.entries.append(probability(state))
     return state, series
 
 

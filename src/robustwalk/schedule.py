@@ -1,9 +1,9 @@
 """Coin/oracle angle schedules and the step-count bounds.
 
 A schedule depends only on (h, epsilon) -- never on the graph or the marked
-sets.  The coin angles follow the arccot formula on the Chebyshev grids of
-``gamma_grids``: the h grid for odd h, the h+1 grid (even steps) and the h-1
-grid (odd steps) for even h.  For every h the oracle angles are the coin
+sets.  The coin angles are ``chebyshev.grid_angle`` on the Chebyshev grids
+of ``gamma_grids``: the h grid for odd h, the h+1 grid (even steps) and the
+h-1 grid (odd steps) for even h.  For every h the oracle angles are the coin
 angles reversed and negated, beta_i = -alpha_{h+1-i}.
 
 For odd h the paper gives two different beta index maps: the main text
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import GammaParams, gamma_params
+from .chebyshev import GammaParams, gamma_params, grid_angle
 
 
 @dataclass(frozen=True)
@@ -68,26 +68,15 @@ def gamma_grids(h: int, epsilon: float) -> tuple[GammaParams, ...]:
 def build_schedule(h: int, epsilon: float) -> AngleSchedule:
     """Build the robust h-step schedule for error floor epsilon.
 
-    alpha_1 = 0 and alpha_k = 2 arccot(tan(j pi / n) sqrt(1 - gamma_n^2)) with
-    j = 2 floor(k/2), where n is the grid of step k's parity; beta_h = 0.
+    alpha_1 = 0 and alpha_k = grid_angle(j, n, gamma_n) with j = 2 floor(k/2),
+    where n is the grid of step k's parity; beta_h = 0.
     """
     if h < 3:
         raise ValueError(f"robust schedules need h >= 3, got {h}")
     grids = gamma_grids(h, epsilon)
-    by_parity = (grids[0], grids[-1])
-    # Steps 2m and 2m+1 share j = 2m, so steps 2..h fill the rows of an
-    # (m, 2) view, padded by one dropped slot for even h; column 0 takes the even
-    # steps' grid and column 1 the odd steps'.
-    angles = np.zeros(h + 1 - h % 2)
-    pairs = angles[1:].reshape(-1, 2)
-    pairs[:] = np.arange(2, h + 1, 2)[:, None] * np.pi
-    pairs /= [g.h for g in by_parity]
-    np.tan(pairs, out=pairs)
-    pairs *= [math.sqrt(max(0.0, 1.0 - g.gamma**2)) for g in by_parity]
-    np.arctan(pairs, out=pairs)
-    np.subtract(np.pi / 2, pairs, out=pairs)  # arccot on the (0, pi) branch
-    pairs *= 2.0
-    alphas = angles[:h]
+    alphas = np.zeros(h)
+    alphas[1::2] = grid_angle(np.arange(2, h + 1, 2), grids[0].h, grids[0].gamma)
+    alphas[2::2] = grid_angle(np.arange(2, h, 2), grids[-1].h, grids[-1].gamma)
     betas = 0.0 - alphas[::-1]  # not -alphas[::-1], which makes beta_h = -0.0
     return AngleSchedule(h=h, epsilon=epsilon, alphas=alphas, betas=betas, kind="robust")
 

@@ -63,9 +63,9 @@ def reduction_suite(hs=(3, 4, 5, 6, 7, 8, 9), epsilons=(0.1, 0.5)) -> SuiteResul
         model = build_model(*counts)
         for h in hs:
             for eps in epsilons:
-                report = verify_reduction(model, build_schedule(h, eps))
-                if report["deviation"] > worst:
-                    worst, worst_case = report["deviation"], f"dim={dim} h={h} eps={eps}"
+                deviation = verify_reduction(model, build_schedule(h, eps))
+                if deviation > worst:
+                    worst, worst_case = deviation, f"dim={dim} h={h} eps={eps}"
     return SuiteResult("reduction forms", worst, 1e-9, worst_case)
 
 

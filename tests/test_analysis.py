@@ -82,8 +82,7 @@ def test_one_minus_p_bounded_by_epsilon_inside_interval():
 def test_oscillatory_violates_floor_on_fig_instance():
     model = build_model(*FIG_COUNTS)
     _, series = run_reduced(model, oscillatory_schedule(60))
-    probs = dict(series.entries)
-    assert min(probs[h] for h in range(16, 61)) < 0.9
+    assert min(series.entries[16:61]) < 0.9
 
 
 def reduced_walk(counts):
@@ -108,6 +107,9 @@ def test_sweep_leaves_uncomputed_curves_empty():
     assert all(r.p_oscillatory is None for r in rows)
     # no robust schedule exists below h = 3
     assert [r.p_robust is None for r in rows] == [True, True, False, False, False]
+    # the oscillatory series starts at step 0 and is not read from its end
+    rows = sweep(reduced_walk(counts), counts, epsilon=0.2, h_max=1, h_min=-1, robust=False)
+    assert [r.p_oscillatory is None for r in rows] == [True, False, False]
 
 
 def test_sweep_fig_shapes():

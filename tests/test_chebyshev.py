@@ -8,8 +8,9 @@ from robustwalk.chebyshev import (
     chebyshev_t,
     collapse_phases,
     gamma_params,
-    quasi_chebyshev,
 )
+
+from collapse_recurrence import quasi_chebyshev
 
 
 def cheb_recurrence(n, x):

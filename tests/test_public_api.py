@@ -26,7 +26,6 @@ PUBLIC = [
     "mixer_a",
     "oracle_matrix",
     "oscillatory_schedule",
-    "quasi_chebyshev",
     "reduced_initial_state",
     "rotation_r",
     "run",
@@ -45,7 +44,7 @@ PUBLIC = [
 
 def test_public_names_are_pinned():
     assert robustwalk.__all__ == PUBLIC
-    assert len(PUBLIC) == 39
+    assert len(PUBLIC) == 38
 
 
 def test_every_public_name_resolves():
