@@ -154,6 +154,34 @@ MUTANTS = [
         "if above < value:",
         ["tests/test_cli.py::test_bad_input_exits_2_before_the_library_runs"],
     ),
+    (
+        "marked count above the side size accepted",
+        "cli.py",
+        '    if parsed > side_size:\n        raise UsageError(f"{flag} count {parsed} exceeds the side size {side_size}")\n',
+        "",
+        ["tests/test_cli.py::test_marked_side_checks_exit_2_before_the_library_runs"],
+    ),
+    (
+        "missing --nl/--nr accepted",
+        "cli.py",
+        '    if args.nl is None or args.nr is None:\n        raise UsageError("--nl and --nr are required")\n',
+        "",
+        ["tests/test_cli.py::test_marked_side_checks_exit_2_before_the_library_runs"],
+    ),
+    (
+        "step bound accepts counts outside [0, N]",
+        "schedule.py",
+        '        raise ValueError("marked counts out of range")',
+        "        pass",
+        ["tests/test_schedule.py::test_bound_rejects_inconsistent_counts"],
+    ),
+    (
+        "one-sided basis drops the other side's marked class",
+        "reduced.py",
+        'for c, n in (("u", self.n_l), ("t", self.n_r))',
+        'for c, n in (("u", self.n_r), ("t", self.n_l))',
+        ["tests/test_reduced.py::test_run_reduced_matches_fullspace_one_side"],
+    ),
 ]
 
 

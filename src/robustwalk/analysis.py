@@ -47,12 +47,12 @@ def closed_form_ph_two_sides(h: int, epsilon: float, ratio_l: float, ratio_r: fl
 
 
 def closed_form_ph(h: int, epsilon: float, N_l: int, N_r: int, n_l: int, n_r: int) -> float:
-    """Dispatch on the marking pattern of the counts, with the sides swapped as
-    in :func:`robustwalk.reduced.build_model` so that one-sided marking is on the left."""
-    m = build_model(N_l, N_r, n_l, n_r)
-    if m.n_r:
-        return closed_form_ph_two_sides(h, epsilon, m.n_l / m.N_l, m.n_r / m.N_r)
-    return closed_form_ph_one_side(h, epsilon, m.n_l / m.N_l)
+    """The one-sided form at the marked side's fraction, or the two-sided form
+    at both; the counts are validated by :func:`robustwalk.reduced.build_model`."""
+    build_model(N_l, N_r, n_l, n_r)
+    ratios = [n / N for N, n in ((N_l, n_l), (N_r, n_r)) if n]
+    form = closed_form_ph_two_sides if len(ratios) == 2 else closed_form_ph_one_side
+    return form(h, epsilon, *ratios)
 
 
 @dataclass(frozen=True)

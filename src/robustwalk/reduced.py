@@ -2,13 +2,12 @@
 
 By symmetry over the vertex classes the walk never leaves a small subspace
 spanned by uniform superpositions over classes of arcs.  The classes are u
-(marked left), v (unmarked left), t (marked right) and s (unmarked right, or
-all right vertices under one-sided marking); ``|pc>`` holds the arcs at a
-vertex of class p whose coin points to class c.  ``LABELS`` is the single
-owner of the basis order, dim 4 for one-sided and dim 8 for two-sided
-marking; every state, operator and hit set below is derived from it and the
-class sizes.  The model's primitive is the marked fraction r = n/N of a side,
-not an angle omega with cos(omega) = 1 - 2r.
+(marked left), v (unmarked left), t (marked right) and s (unmarked right);
+``|pc>`` holds the arcs at a vertex of class p whose coin points to class c.
+``LABELS`` owns the basis order.  A model drops the labels holding the marked
+class of an unmarked side, and every state, operator and hit set below is
+derived from its labels and class sizes.  The model's primitive is the marked
+fraction r = n/N of a side, not an angle omega with cos(omega) = 1 - 2r.
 
 This module builds the step operators restricted to those bases, the
 rotation/mixer factorization (R, A) behind the closed forms, and numerical
@@ -31,8 +30,8 @@ from .chebyshev import collapse_phases
 from .fullspace import simulate
 from .schedule import AngleSchedule, gamma_grids
 
-# Basis labels |pc> (position class, coin class) per dimension.
-LABELS = {4: ("us", "su", "sv", "vs"), 8: ("ut", "us", "tu", "tv", "vt", "vs", "su", "sv")}
+# Basis labels |pc> (position class, coin class).
+LABELS = ("ut", "us", "tu", "tv", "vt", "vs", "su", "sv")
 
 _MARKED = "ut"
 _UNMARKED = {"u": "v", "t": "s"}
@@ -45,27 +44,26 @@ def _frozen(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ReducedModel:
-    """Invariant-subspace model of an instance, possibly side-swapped.
+    """Invariant-subspace model of an instance, with the sides as given.
 
-    ``mirrored`` records that the sides were exchanged so that the marked side
-    (for one-sided marking) is the left one; the walk's success series is
-    invariant under that swap.  The arrays derived from ``labels`` and the
-    class sizes are computed once per model and are read-only.
+    ``labels`` is ``LABELS`` without the labels holding the marked class of
+    an unmarked side.  It and the arrays derived from it and the class sizes
+    are computed once per model; the arrays are read-only.
     """
 
     N_l: int
     N_r: int
     n_l: int
     n_r: int
-    mirrored: bool
+
+    @cached_property
+    def labels(self) -> tuple[str, ...]:
+        empty = {c for c, n in (("u", self.n_l), ("t", self.n_r)) if n == 0}
+        return tuple(label for label in LABELS if empty.isdisjoint(label))
 
     @property
     def dim(self) -> int:
-        return 4 if self.n_r == 0 else 8
-
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return LABELS[self.dim]
+        return len(self.labels)
 
     def size(self, cls: str) -> int:
         """Vertex count of class u, v, t or s."""
@@ -101,22 +99,20 @@ class ReducedModel:
         class on m's side; r = |m| / deg(p) = P[m, m] and 1 - r = P[w, w].
         """
         marked = np.flatnonzero(self.marked[:, 1])
-        unmarked = np.array([self.labels.index(p + _UNMARKED[c]) for p, c in self.labels if c in _MARKED])
+        unmarked = np.array([self.labels.index(p + _UNMARKED[c]) for p, c in self.labels if c in _MARKED], dtype=int)
         diag = np.diag(self.projector)
         return tuple(_frozen(a) for a in (marked, unmarked, np.sqrt(diag[unmarked]), np.sqrt(diag[marked])))
 
 
 def build_model(N_l: int, N_r: int, n_l: int, n_r: int) -> ReducedModel:
-    """Reduced model from counts; swaps sides when only the right is marked."""
+    """Reduced model from validated counts."""
     if N_l < 1 or N_r < 1:
         raise ValueError("side sizes must be positive")
     if not (0 <= n_l <= N_l and 0 <= n_r <= N_r):
         raise ValueError("marked counts out of range")
     if n_l == 0 and n_r == 0:
         raise ValueError("nothing to search: no marked vertices")
-    if n_l == 0:
-        return ReducedModel(N_r, N_l, n_r, n_l, True)
-    return ReducedModel(N_l, N_r, n_l, n_r, False)
+    return ReducedModel(N_l, N_r, n_l, n_r)
 
 
 def reduced_initial_state(model: ReducedModel) -> np.ndarray:

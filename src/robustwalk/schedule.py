@@ -100,6 +100,8 @@ def step_bound_threshold(N_l: int, N_r: int, scenario: tuple[int, int], epsilon:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     if N_l < 1 or N_r < 1:
         raise ValueError("side sizes must be positive")
+    if not all(0 <= n <= N for N, n in zip((N_l, N_r), scenario)):
+        raise ValueError("marked counts out of range")
     ratios = [N / n for N, n in zip((N_l, N_r), scenario) if n >= 1]
     if not ratios:
         raise ValueError("at least one marked vertex is required")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 
 from robustwalk.fullspace import BipartiteInstance, StateVector
-from robustwalk.reduced import LABELS
+from robustwalk.reduced import build_model
 
 
 def flatten(state: StateVector) -> np.ndarray:
@@ -17,14 +17,14 @@ def flatten(state: StateVector) -> np.ndarray:
 def reduced_basis_vectors(instance: BipartiteInstance) -> list[StateVector]:
     """The invariant-subspace basis as explicit full-space states.
 
-    Requires every vertex class of the labels to be nonempty (0 < n_l < N_l,
-    and for two-sided marking 0 < n_r < N_r).  Order matches the reduced
+    Requires every vertex class of the labels to be nonempty (each marked
+    side has an unmarked vertex).  Order matches the reduced
     components: |pc> is uniform over the arcs from class p to class c.
     """
     N_l, N_r = instance.N_l, instance.N_r
     ml, mr = instance.marked_left, instance.marked_right
     classes = {k: sorted(v) for k, v in zip("uvts", (ml, set(range(N_l)) - ml, mr, set(range(N_r)) - mr))}
-    labels = LABELS[8 if instance.marked_right else 4]
+    labels = build_model(N_l, N_r, len(ml), len(mr)).labels
     if any(not classes[k] for k in "".join(labels)):
         raise ValueError("every vertex class of the basis needs a vertex")
 

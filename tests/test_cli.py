@@ -416,3 +416,19 @@ def test_bad_input_exits_2_before_the_library_runs(case):
     assert err.getvalue().startswith("error:")
     assert "Traceback" not in err.getvalue()
     assert out.getvalue() == ""
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["bound", "--nl", "3", "--nr", "4", "--ml", "5"], "--ml count 5 exceeds the side size 3"),
+        (["sweep", "--nl", "3", "--nr", "4", "--ml", "5", "--hmax", "4"], "--ml count 5 exceeds the side size 3"),
+        (["bound", "--nl", "3", "--nr", "4", "--mr", "5"], "--mr count 5 exceeds the side size 4"),
+        (["bound", "--nr", "4", "--ml", "1"], "--nl and --nr are required"),
+        (["sweep", "--nl", "3", "--ml", "1", "--hmax", "4"], "--nl and --nr are required"),
+    ],
+)
+def test_marked_side_checks_exit_2_before_the_library_runs(capsys, argv, message):
+    with mock.patch.multiple(cli, **dict.fromkeys(LIBRARY_ENTRY_POINTS, _library_reached)):
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

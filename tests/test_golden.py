@@ -3,7 +3,8 @@
 Each case is a CLI invocation whose standard output was captured once and
 committed; any change to a sweep CSV or a schedule table shows up here.
 The cases cover the reduced/full/auto engines, the three modes, one- and
-two-sided marking, right-only (mirrored) marking and explicit vertex ids.
+two-sided marking, right-only marking (the ``sweep_mirrored_*`` files) and
+explicit vertex ids.
 """
 
 from pathlib import Path

@@ -33,8 +33,9 @@ from reduced_embedding import (
 
 DIM4_COUNTS = (5, 4, 1, 0)
 DIM8_COUNTS = (5, 4, 2, 1)
+RIGHT_ONLY_COUNTS = (4, 6, 0, 2)
 # basis shapes conjugated against the full-space operators
-CLOSURE_COUNTS = [DIM4_COUNTS, DIM8_COUNTS, (7, 5, 3, 0), (6, 5, 2, 2), (3, 7, 1, 4)]
+CLOSURE_COUNTS = [DIM4_COUNTS, DIM8_COUNTS, (7, 5, 3, 0), (6, 5, 2, 2), (3, 7, 1, 4), RIGHT_ONLY_COUNTS]
 
 
 def models():
@@ -75,11 +76,11 @@ def test_build_model_two_sides():
     )
 
 
-def test_build_model_mirrors_right_only_marking():
+def test_build_model_keeps_right_only_counts():
     m = build_model(7, 3, 0, 2)
-    assert m.mirrored
+    assert (m.N_l, m.N_r, m.n_l, m.n_r) == (7, 3, 0, 2)
+    assert m.labels == ("tv", "vt", "vs", "sv")
     assert m.dim == 4
-    assert (m.N_l, m.N_r, m.n_l, m.n_r) == (3, 7, 2, 0)
 
 
 def test_build_model_rejects_empty_marking():
@@ -87,6 +88,8 @@ def test_build_model_rejects_empty_marking():
         build_model(5, 5, 0, 0)
     with pytest.raises(ValueError):
         build_model(5, 5, 6, 0)
+    with pytest.raises(ValueError):
+        build_model(0, 5, 0, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +97,10 @@ def test_build_model_rejects_empty_marking():
 # ---------------------------------------------------------------------------
 
 def test_initial_state_all_marked_left():
-    v = reduced_initial_state(build_model(4, 6, 4, 0))
-    np.testing.assert_allclose(v, [1 / math.sqrt(2), 1 / math.sqrt(2), 0, 0], atol=1e-15)
+    model = build_model(4, 6, 4, 0)
+    v = reduced_initial_state(model)
+    want = {"us": 1 / math.sqrt(2), "su": 1 / math.sqrt(2), "vs": 0, "sv": 0}
+    np.testing.assert_allclose([v[model.labels.index(k)] for k in want], list(want.values()), atol=1e-15)
 
 
 def test_initial_states_normalized():
@@ -279,7 +284,7 @@ def test_epsilon_one_equals_oscillatory():
 # identities
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("counts", [DIM4_COUNTS, DIM8_COUNTS])
+@pytest.mark.parametrize("counts", [DIM4_COUNTS, DIM8_COUNTS, RIGHT_ONLY_COUNTS])
 def test_identities_hold(counts):
     devs = verify_identities(build_model(*counts), trials=100, seed=21)
     for name, dev in devs.items():
@@ -320,10 +325,10 @@ def test_rotation_inverse_pair():
 
 
 def test_mixer_at_zero_angle_and_zero_mixing():
-    flat = ReducedModel(N_l=5, N_r=4, n_l=0, n_r=0, mirrored=False)
-    assert flat.dim == 4 and flat.size("u") == 0
-    assert coin_pair_block(flat, "su", "sv") == (0.0, 0.0, 1.0)
-    np.testing.assert_allclose(mixer_a(flat, 0.0), np.eye(4), atol=1e-15)
+    flat = ReducedModel(N_l=5, N_r=4, n_l=0, n_r=0)
+    assert flat.labels == ("vs", "sv") and flat.size("u") == 0
+    np.testing.assert_allclose(mixer_a(flat, 0.0), np.eye(2), atol=1e-15)
+    np.testing.assert_allclose(mixer_a(flat, 1.3), np.eye(2), atol=1e-15)
 
 
 def test_mixer_phase_steering():
@@ -354,18 +359,18 @@ def test_global_phase_deviation_helper():
 # ---------------------------------------------------------------------------
 
 def test_stage_one_component_pattern():
-    # the mixer cascade leaves the first component at 0 and the last at 1/sqrt(2)
+    # the mixer cascade leaves the us component at 0 and vs at 1/sqrt(2)
     from robustwalk.chebyshev import collapse_phases
     from robustwalk.reduced import _anchored_values, _mixer_product
 
     model = build_model(6, 5, 2, 0)
     values = _anchored_values(5, gamma_grids(5, 0.1)[0].gamma)
     state = _mixer_product(model, values) @ zero_bar(model)
-    assert abs(state[0]) <= 1e-12
-    assert state[3] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
+    assert abs(state[model.labels.index("us")]) <= 1e-12
+    assert state[model.labels.index("vs")] == pytest.approx(1 / math.sqrt(2), abs=1e-12)
 
 
-@pytest.mark.parametrize("counts", [DIM4_COUNTS, DIM8_COUNTS])
+@pytest.mark.parametrize("counts", [DIM4_COUNTS, DIM8_COUNTS, RIGHT_ONLY_COUNTS])
 @pytest.mark.parametrize("h", [3, 4, 5, 6, 7, 8, 9])
 @pytest.mark.parametrize("eps", [0.1, 0.5])
 def test_reduction_form_matches_stepped_state(counts, h, eps):

@@ -6,6 +6,7 @@ import pytest
 
 from robustwalk.chebyshev import arccot, gamma_params
 from robustwalk.schedule import (
+    AngleSchedule,
     build_schedule,
     gamma_grids,
     oscillatory_schedule,
@@ -143,6 +144,14 @@ def test_bound_rejects_inconsistent_counts():
         step_bound(10, 10, (0, 0), 0.1)
     with pytest.raises(ValueError):
         step_bound(10, 10, (1, 1), 0.0)
+    with pytest.raises(ValueError):
+        step_bound_threshold(0, 10, (0, 1), 0.1)
+    # counts outside [0, N] are rejected, not bounded or dropped
+    for scenario in ((5, 0), (0, 5), (-2, 1), (1, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            step_bound_threshold(3, 4, scenario, 0.1)
+    with pytest.raises(ValueError):
+        AngleSchedule(3, None, np.zeros(3), np.zeros(2), "oscillatory")
 
 
 def test_scenario_from_counts():
