@@ -176,6 +176,20 @@ MUTANTS = [
         ["tests/test_schedule.py::test_bound_rejects_inconsistent_counts"],
     ),
     (
+        "step bound pads a short scenario and truncates a long one",
+        "schedule.py",
+        "    n_l, n_r = scenario\n",
+        "    n_l, n_r = (*scenario, 0)[:2]\n",
+        ["tests/test_schedule.py::test_bound_rejects_inconsistent_counts"],
+    ),
+    (
+        "non-integer marked ids accepted",
+        "fullspace.py",
+        '            raise ValueError("marked ids must be integers")',
+        "            pass",
+        ["tests/test_fullspace.py::test_instance_validation"],
+    ),
+    (
         "one-sided basis drops the other side's marked class",
         "reduced.py",
         'for c, n in (("u", self.n_l), ("t", self.n_r))',

@@ -60,8 +60,11 @@ class GammaParams:
     """
 
     h: int
-    gamma: float
     inv_gamma: float
+
+    @property
+    def gamma(self) -> float:
+        return 1.0 / self.inv_gamma
 
 
 def gamma_params(h: int, epsilon: float) -> GammaParams:
@@ -75,7 +78,7 @@ def gamma_params(h: int, epsilon: float) -> GammaParams:
     if h < 1:
         raise ValueError(f"step count must be positive, got {h}")
     inv_gamma = math.cosh(math.acosh(1.0 / math.sqrt(epsilon)) / h)
-    return GammaParams(h=h, gamma=1.0 / inv_gamma, inv_gamma=inv_gamma)
+    return GammaParams(h, inv_gamma)
 
 
 def grid_angle(j, n: int, gamma: float) -> np.ndarray:

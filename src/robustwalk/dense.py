@@ -8,10 +8,8 @@ code shared with the structured simulator); only the step driver
 the shift S, the coin projector P and the marked diagonal once per run, and
 one step with angles (alpha, beta) is S ((1 - e^{-i alpha}) P - I) Q(beta)
 applied to the state: a phase vector for the diagonal oracle Q and two dense
-matrix-vector products.  :func:`coin_matrix` and :func:`oracle_matrix` build
-the full per-step matrices as references for the tests.  This is the
-cross-check oracle for the structured simulator, intended for 2 * N_l * N_r
-up to a few hundred.
+matrix-vector products.  This is the cross-check oracle for the structured
+simulator, intended for 2 * N_l * N_r up to a few hundred.
 
 Arc indexing: arc (left u -> right v) sits at u * N_r + v; arc
 (right v -> left u) sits at N_l * N_r + v * N_l + u.
@@ -64,12 +62,6 @@ def coin_projector(instance: BipartiteInstance) -> np.ndarray:
     return P
 
 
-def coin_matrix(instance: BipartiteInstance, alpha: float) -> np.ndarray:
-    """(1 - e^{-i alpha}) |s_u><s_u| - I on every position block."""
-    d = dimension(instance)
-    return (1.0 - np.exp(-1j * alpha)) * coin_projector(instance) - np.eye(d, dtype=complex)
-
-
 def marked_positions(instance: BipartiteInstance) -> np.ndarray:
     """True on arcs whose position register is marked."""
     marked = np.zeros(dimension(instance), dtype=bool)
@@ -78,11 +70,6 @@ def marked_positions(instance: BipartiteInstance) -> np.ndarray:
     v, u = np.ix_(sorted(instance.marked_right), np.arange(instance.N_l))
     marked[right_arc(instance, v, u)] = True
     return marked
-
-
-def oracle_matrix(instance: BipartiteInstance, beta: float) -> np.ndarray:
-    """Diagonal phase e^{i beta} on arcs whose position register is marked."""
-    return np.diag(np.where(marked_positions(instance), np.exp(1j * beta), 1.0 + 0.0j))
 
 
 def initial_vector(instance: BipartiteInstance) -> np.ndarray:

@@ -21,6 +21,7 @@ layout; other layouts (a C-ordered ``rl``) only run slower.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 
@@ -49,6 +50,8 @@ class BipartiteInstance:
             raise ValueError("side sizes must be positive")
         object.__setattr__(self, "marked_left", frozenset(self.marked_left))
         object.__setattr__(self, "marked_right", frozenset(self.marked_right))
+        if not all(isinstance(i, numbers.Integral) for i in self.marked_left | self.marked_right):
+            raise ValueError("marked ids must be integers")
         if any(not 0 <= u < self.N_l for u in self.marked_left):
             raise ValueError("marked left ids out of range")
         if any(not 0 <= v < self.N_r for v in self.marked_right):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .chebyshev import collapse_phases
 from .fullspace import simulate
-from .schedule import AngleSchedule, gamma_grids
+from .schedule import AngleSchedule, check_counts, gamma_grids
 
 # Basis labels |pc> (position class, coin class).
 LABELS = ("ut", "us", "tu", "tv", "vt", "vs", "su", "sv")
@@ -106,12 +106,7 @@ class ReducedModel:
 
 def build_model(N_l: int, N_r: int, n_l: int, n_r: int) -> ReducedModel:
     """Reduced model from validated counts."""
-    if N_l < 1 or N_r < 1:
-        raise ValueError("side sizes must be positive")
-    if not (0 <= n_l <= N_l and 0 <= n_r <= N_r):
-        raise ValueError("marked counts out of range")
-    if n_l == 0 and n_r == 0:
-        raise ValueError("nothing to search: no marked vertices")
+    check_counts(N_l, N_r, n_l, n_r)
     return ReducedModel(N_l, N_r, n_l, n_r)
 
 

@@ -30,18 +30,25 @@ class AngleSchedule:
     """Per-step angles for an h-step walk.
 
     ``alphas[k-1]`` / ``betas[k-1]`` are the coin / oracle angles of step k.
-    The free angles alpha_1 and beta_h are fixed to 0.
+    The free angles alpha_1 and beta_h are fixed to 0.  A schedule built for
+    an error floor ``epsilon`` is robust; one without is oscillatory.
     """
 
-    h: int
-    epsilon: float | None
     alphas: np.ndarray
     betas: np.ndarray
-    kind: str
+    epsilon: float | None = None
 
     def __post_init__(self):
-        if len(self.alphas) != self.h or len(self.betas) != self.h:
+        if len(self.alphas) != len(self.betas):
             raise ValueError("angle arrays must have one entry per step")
+
+    @property
+    def h(self) -> int:
+        return len(self.alphas)
+
+    @property
+    def kind(self) -> str:
+        return "oscillatory" if self.epsilon is None else "robust"
 
     @property
     def parity(self) -> str:
@@ -78,7 +85,7 @@ def build_schedule(h: int, epsilon: float) -> AngleSchedule:
     alphas[1::2] = grid_angle(np.arange(2, h + 1, 2), grids[0].h, grids[0].gamma)
     alphas[2::2] = grid_angle(np.arange(2, h, 2), grids[-1].h, grids[-1].gamma)
     betas = 0.0 - alphas[::-1]  # not -alphas[::-1], which makes beta_h = -0.0
-    return AngleSchedule(h=h, epsilon=epsilon, alphas=alphas, betas=betas, kind="robust")
+    return AngleSchedule(alphas, betas, epsilon)
 
 
 def oscillatory_schedule(h: int) -> AngleSchedule:
@@ -86,7 +93,18 @@ def oscillatory_schedule(h: int) -> AngleSchedule:
     if h < 1:
         raise ValueError(f"step count must be positive, got {h}")
     angles = np.full(h, np.pi)
-    return AngleSchedule(h=h, epsilon=None, alphas=angles, betas=angles.copy(), kind="oscillatory")
+    return AngleSchedule(angles, angles.copy())
+
+
+def check_counts(N_l: int, N_r: int, n_l: int, n_r: int) -> None:
+    """Reject side sizes below 1, marked counts outside [0, N] and a graph
+    with no marked vertex."""
+    if N_l < 1 or N_r < 1:
+        raise ValueError("side sizes must be positive")
+    if not (0 <= n_l <= N_l and 0 <= n_r <= N_r):
+        raise ValueError("marked counts out of range")
+    if n_l < 1 and n_r < 1:
+        raise ValueError("at least one marked vertex is required")
 
 
 def step_bound_threshold(N_l: int, N_r: int, scenario: tuple[int, int], epsilon: float) -> float:
@@ -98,13 +116,9 @@ def step_bound_threshold(N_l: int, N_r: int, scenario: tuple[int, int], epsilon:
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    if N_l < 1 or N_r < 1:
-        raise ValueError("side sizes must be positive")
-    if not all(0 <= n <= N for N, n in zip((N_l, N_r), scenario)):
-        raise ValueError("marked counts out of range")
-    ratios = [N / n for N, n in zip((N_l, N_r), scenario) if n >= 1]
-    if not ratios:
-        raise ValueError("at least one marked vertex is required")
+    n_l, n_r = scenario
+    check_counts(N_l, N_r, n_l, n_r)
+    ratios = [N / n for N, n in ((N_l, n_l), (N_r, n_r)) if n >= 1]
     return math.log(2.0 / math.sqrt(epsilon)) * math.sqrt(max(ratios)) + 1.0
 
 

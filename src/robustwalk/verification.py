@@ -1,11 +1,16 @@
 """Seeded verification suites shared by the test suite and the verify CLI.
 
-Four suites, each reporting a max deviation against its tolerance:
+Four suites over fixed grids, each reporting a max deviation against its
+tolerance:
 
 * identities      -- the R/A operator identities in both subspace dimensions,
-* reductions      -- product-form reduction of the final state,
-* engines         -- structured full-space vs naive dense vs reduced runs,
-* closed-form     -- reduced simulation vs the closed-form probabilities.
+  over seeded random angles,
+* reductions      -- product-form reduction of the final state, h = 3..9 at
+  eps = 0.1 and 0.5 in both dimensions (28 cases),
+* engines         -- structured full-space vs naive dense vs reduced runs of
+  12 steps at eps = 0.1 on every small instance with 2 N_l N_r <= 128 (1332),
+* closed-form     -- reduced simulation vs the closed-form probabilities,
+  h = 3..20 at four eps on five count sets (360 points).
 """
 
 from __future__ import annotations
@@ -26,7 +31,7 @@ IDENTITY_MODELS = {
     8: ((5, 4, 1, 1), (7, 5, 3, 2)),
 }
 
-REDUCTION_MODELS = {4: (6, 5, 2, 0), 8: (6, 5, 2, 2)}
+REDUCTION_MODELS = ((6, 5, 2, 0), (6, 5, 2, 2))
 
 
 @dataclass(frozen=True)
@@ -56,26 +61,26 @@ def identity_suite(trials: int, seed: int = 42, coin_builder=None) -> list[Suite
     ]
 
 
-def reduction_suite(hs=(3, 4, 5, 6, 7, 8, 9), epsilons=(0.1, 0.5)) -> SuiteResult:
-    """Final state vs its R/A product form, both parities and dimensions."""
+def reduction_suite() -> SuiteResult:
+    """Final state vs its R/A product form for h = 3..9 at eps = 0.1 and 0.5:
+    both parities, dimensions 4 and 8."""
     worst, worst_case = 0.0, ""
-    for dim, counts in REDUCTION_MODELS.items():
+    for counts in REDUCTION_MODELS:
         model = build_model(*counts)
-        for h in hs:
-            for eps in epsilons:
+        for h in range(3, 10):
+            for eps in (0.1, 0.5):
                 deviation = verify_reduction(model, build_schedule(h, eps))
                 if deviation > worst:
-                    worst, worst_case = deviation, f"dim={dim} h={h} eps={eps}"
+                    worst, worst_case = deviation, f"dim={model.dim} h={h} eps={eps}"
     return SuiteResult("reduction forms", worst, 1e-9, worst_case)
 
 
-def small_instances(max_double_dim: int = 128):
-    """Every (N_l, N_r) with 2 N_l N_r <= max_double_dim, with a canonical
-    family of marked configurations per size pair."""
+def small_instances():
+    """Every (N_l, N_r) with 2 N_l N_r <= 128, with a canonical family of
+    marked configurations per size pair: 1332 instances."""
     out = []
-    cap = max_double_dim // 2
-    for N_l in range(1, cap + 1):
-        for N_r in range(1, cap // N_l + 1):
+    for N_l in range(1, 65):
+        for N_r in range(1, 64 // N_l + 1):
             configs = {
                 (1, 0),
                 (N_l, 0),
@@ -89,21 +94,16 @@ def small_instances(max_double_dim: int = 128):
     return out
 
 
-def engine_suite(
-    h: int = 12,
-    epsilon: float = 0.1,
-    max_double_dim: int = 128,
-    sample: int | None = None,
-    seed: int = 42,
-) -> SuiteResult:
-    """Structured vs dense vs reduced success series on small instances,
-    under both the robust and the oscillatory schedule."""
-    instances = small_instances(max_double_dim)
+def engine_suite(sample: int | None = None, seed: int = 42) -> SuiteResult:
+    """Structured vs dense vs reduced success series on the small instances
+    (a seeded sample of ``sample`` of them, if given), under the robust
+    12-step schedule at eps = 0.1 and the oscillatory 12-step schedule."""
+    instances = small_instances()
     if sample is not None and sample < len(instances):
         rng = np.random.default_rng(seed)
         idx = rng.choice(len(instances), size=sample, replace=False)
         instances = [instances[i] for i in sorted(idx)]
-    schedules = [build_schedule(h, epsilon), oscillatory_schedule(h)]
+    schedules = [build_schedule(12, 0.1), oscillatory_schedule(12)]
     worst, worst_case = 0.0, ""
     for inst in instances:
         model = build_model(inst.N_l, inst.N_r, inst.n_l, inst.n_r)
@@ -122,18 +122,14 @@ def engine_suite(
     return SuiteResult("engine equivalence", worst, 1e-10, worst_case)
 
 
-def closed_form_suite(
-    hs=range(3, 21),
-    epsilons=(0.05, 0.1, 0.5, 1.0),
-    count_sets=((30, 20, 1, 0), (17, 40, 3, 0), (50, 11, 10, 0), (8, 6, 1, 1), (12, 50, 2, 3)),
-) -> SuiteResult:
-    """Reduced simulation vs closed form over the (h, eps, counts) grid;
-    ``hs`` is a contiguous range of step counts >= 3."""
+def closed_form_suite() -> SuiteResult:
+    """Reduced simulation vs closed form for h = 3..20 at four eps on five
+    count sets, one and two marked sides."""
     worst, worst_case, points = 0.0, "", 0
-    for counts in count_sets:
+    for counts in ((30, 20, 1, 0), (17, 40, 3, 0), (50, 11, 10, 0), (8, 6, 1, 1), (12, 50, 2, 3)):
         walk = partial(run_reduced, build_model(*counts))
-        for eps in epsilons:
-            for row in sweep(walk, counts, eps, max(hs), min(hs), oscillatory=False):
+        for eps in (0.05, 0.1, 0.5, 1.0):
+            for row in sweep(walk, counts, eps, 20, 3, oscillatory=False):
                 dev = abs(row.p_robust - row.p_closed_form)
                 points += 1
                 if dev > worst:

@@ -63,7 +63,7 @@ def test_criterion_3_closed_form_equivalence():
 
 def test_criterion_4_engine_equivalence():
     t0 = time.perf_counter()
-    result = engine_suite(h=12, sample=None)
+    result = engine_suite(sample=None)
     elapsed = time.perf_counter() - t0
     ok = result.ok and elapsed < 30.0
     report(4, ok, f"structured/dense/reduced agree: max |diff| = {result.max_deviation:.3e} <= 1e-10", elapsed)

@@ -5,6 +5,8 @@ from robustwalk import dense
 from robustwalk.fullspace import BipartiteInstance
 from robustwalk.schedule import build_schedule
 
+from dense_reference import coin_matrix, oracle_matrix
+
 # Arc-by-arc definitions of the dense operators, one arc (or arc pair) at a
 # time; the vectorized builders must reproduce them entry for entry.
 
@@ -81,7 +83,7 @@ def test_run_dense_matches_definitional_matrices(inst):
     expected = [psi]
     S = dense.shift_matrix(inst)
     for alpha, beta in zip(schedule.alphas, schedule.betas):
-        psi = S @ dense.coin_matrix(inst, alpha) @ dense.oracle_matrix(inst, beta) @ psi
+        psi = S @ coin_matrix(inst, alpha) @ oracle_matrix(inst, beta) @ psi
         expected.append(psi)
     state, series = dense.run_dense(inst, schedule)
     np.testing.assert_allclose(state, expected[-1], rtol=0, atol=1e-13)

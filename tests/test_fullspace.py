@@ -18,6 +18,8 @@ from robustwalk.fullspace import (
 )
 from robustwalk.schedule import AngleSchedule, build_schedule, oscillatory_schedule
 
+from dense_reference import coin_matrix, oracle_matrix
+
 
 def random_state(rng, N_l, N_r):
     lr = rng.normal(size=(N_l, N_r)) + 1j * rng.normal(size=(N_l, N_r))
@@ -39,13 +41,7 @@ def c_ordered(s):
 
 
 def random_schedule(rng, h):
-    return AngleSchedule(
-        h=h,
-        epsilon=None,
-        alphas=rng.uniform(-np.pi, np.pi, h),
-        betas=rng.uniform(-np.pi, np.pi, h),
-        kind="oscillatory",
-    )
+    return AngleSchedule(rng.uniform(-np.pi, np.pi, h), rng.uniform(-np.pi, np.pi, h))
 
 
 def test_initial_state_single_edge():
@@ -80,6 +76,11 @@ def test_instance_validation():
         BipartiteInstance(3, 3, frozenset({3}), frozenset())
     with pytest.raises(ValueError):
         BipartiteInstance(3, 3, frozenset(), frozenset({-1}))
+    # a non-integer id is rejected, not truncated into a duplicate of id 1
+    with pytest.raises(ValueError, match="integers"):
+        BipartiteInstance(3, 3, {1.5, 1})
+    inst = BipartiteInstance(3, 3, {np.int64(1)}, {np.intp(0)})
+    assert inst.left_ids.tolist() == [1] and inst.right_ids.tolist() == [0]
 
 
 def test_shift_is_involution():
@@ -321,7 +322,7 @@ def test_success_probability_uniform_counting():
 
 def test_run_empty_schedule_reports_initial_probability():
     inst = BipartiteInstance.from_counts(4, 3, 1, 1)
-    empty = AngleSchedule(0, None, np.zeros(0), np.zeros(0), "oscillatory")
+    empty = AngleSchedule(np.zeros(0), np.zeros(0))
     _, series = run(inst, empty)
     assert series.entries == [success_probability(initial_state(inst), inst)]
 
@@ -353,8 +354,8 @@ def test_dense_operators_are_unitary():
     eye = np.eye(d)
     for m in (
         dense.shift_matrix(inst),
-        dense.coin_matrix(inst, 0.9),
-        dense.oracle_matrix(inst, -2.1),
+        coin_matrix(inst, 0.9),
+        oracle_matrix(inst, -2.1),
     ):
         np.testing.assert_allclose(m @ m.conj().T, eye, atol=1e-12)
 

@@ -33,7 +33,7 @@ def schedules(draw):
     h = draw(st.integers(0, 12))
     alphas = np.array(draw(st.lists(ANGLE, min_size=h, max_size=h)))
     betas = np.array(draw(st.lists(ANGLE, min_size=h, max_size=h)))
-    return AngleSchedule(h, None, alphas, betas, "oscillatory")
+    return AngleSchedule(alphas, betas)
 
 
 @settings(max_examples=50, derandomize=True, database=None, deadline=None)

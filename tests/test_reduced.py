@@ -236,7 +236,7 @@ def test_run_reduced_mirrored_matches_fullspace():
 def test_run_reduced_matches_per_step_products_across_chunks(counts, h):
     model = build_model(*counts)
     rng = np.random.default_rng(h)
-    sched = AngleSchedule(h, None, *rng.uniform(-2 * np.pi, 2 * np.pi, (2, h)), "oscillatory")
+    sched = AngleSchedule(*rng.uniform(-2 * np.pi, 2 * np.pi, (2, h)))
     psi = reduced_initial_state(model)
     want = [reduced.reduced_success_probability(psi, model)]
     for a, b in zip(sched.alphas, sched.betas):

@@ -56,6 +56,7 @@ def test_even_alphas_use_both_grids():
 def test_free_angles_are_zero():
     for h in (3, 4, 7, 10):
         s = build_schedule(h, 0.3)
+        assert (s.h, s.kind, s.parity) == (h, "robust", ("even", "odd")[h % 2])
         assert s.alpha(1) == 0.0
         assert s.beta(h) == 0.0
 
@@ -108,6 +109,7 @@ def test_oscillatory_is_all_pi():
     np.testing.assert_array_equal(s1.betas, [math.pi])
     s3 = oscillatory_schedule(3)
     assert np.all(s3.alphas == math.pi) and np.all(s3.betas == math.pi)
+    assert (s3.h, s3.kind, s3.epsilon) == (3, "oscillatory", None)
     with pytest.raises(ValueError):
         oscillatory_schedule(0)
 
@@ -150,8 +152,12 @@ def test_bound_rejects_inconsistent_counts():
     for scenario in ((5, 0), (0, 5), (-2, 1), (1, -1)):
         with pytest.raises(ValueError, match="out of range"):
             step_bound_threshold(3, 4, scenario, 0.1)
+    # a scenario is a pair: a short or long one is rejected, not truncated
+    for scenario in ((1,), (1, 0, 7)):
+        with pytest.raises(ValueError):
+            step_bound_threshold(10, 10, scenario, 0.1)
     with pytest.raises(ValueError):
-        AngleSchedule(3, None, np.zeros(3), np.zeros(2), "oscillatory")
+        AngleSchedule(np.zeros(3), np.zeros(2))
 
 
 def test_scenario_from_counts():

@@ -2,8 +2,9 @@ import dataclasses
 
 import numpy as np
 
+from robustwalk import verification
 from robustwalk.analysis import closed_form_ph
-from robustwalk.reduced import build_model, run_reduced
+from robustwalk.reduced import build_model, run_reduced, verify_reduction
 from robustwalk.schedule import build_schedule
 from robustwalk.verification import (
     closed_form_suite,
@@ -47,24 +48,38 @@ def test_identity_suite_passes():
         assert result.ok, result
 
 
-def test_reduction_suite_passes():
-    result = reduction_suite(hs=(3, 4, 5, 6), epsilons=(0.1,))
+def test_reduction_suite_passes(monkeypatch):
+    cases = []
+
+    def record(model, schedule):
+        cases.append((model.dim, schedule.h, schedule.epsilon))
+        return verify_reduction(model, schedule)
+
+    monkeypatch.setattr(verification, "verify_reduction", record)
+    result = reduction_suite()
     assert result.ok, result
+    # h = 3..9 at two epsilons in each of dimensions 4 and 8
+    assert len(cases) == len(set(cases)) == 28
+    assert {dim for dim, _, _ in cases} == {4, 8}
+    assert {h for _, h, _ in cases} == set(range(3, 10))
 
 
 def test_engine_suite_sampled():
-    result = engine_suite(h=8, sample=12, seed=9)
+    result = engine_suite(sample=12, seed=9)
     assert result.ok, result
 
 
 def test_closed_form_suite_counts_points():
-    result = closed_form_suite(hs=tuple(range(3, 9)), epsilons=(0.1, 1.0))
+    result = closed_form_suite()
     assert result.ok, result
-    assert "60 grid points" in result.detail
+    # h = 3..20 at four epsilons on five count sets
+    assert result.detail.startswith("360 grid points")
 
 
 def test_small_instance_enumeration_caps_dimension():
-    instances = small_instances(128)
+    instances = small_instances()
+    # the engine grid: 24 steps per instance in each engine (12 robust, 12 oscillatory)
+    assert len(instances) == 1332
     assert all(2 * inst.N_l * inst.N_r <= 128 for inst in instances)
     assert all(inst.n_l + inst.n_r >= 1 for inst in instances)
     # every admissible size pair appears
