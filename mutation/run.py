@@ -183,6 +183,17 @@ MUTANTS = [
         ["tests/test_schedule.py::test_bound_rejects_inconsistent_counts"],
     ),
     (
+        "non-integer marked counts accepted",
+        "schedule.py",
+        '        raise ValueError("marked counts must be integers")',
+        "        pass",
+        [
+            "tests/test_schedule.py::test_bound_rejects_inconsistent_counts",
+            "tests/test_reduced.py::test_build_model_rejects_empty_marking",
+            "tests/test_analysis.py::test_closed_form_rejects_bad_inputs",
+        ],
+    ),
+    (
         "non-integer marked ids accepted",
         "fullspace.py",
         '            raise ValueError("marked ids must be integers")',

@@ -12,8 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .chebyshev import chebyshev_t
-from .reduced import build_model
-from .schedule import build_schedule, gamma_grids, oscillatory_schedule
+from .schedule import build_schedule, check_counts, gamma_grids, oscillatory_schedule
 
 
 def _grid_terms(h: int, epsilon: float, *ratios: float) -> list[list[float]]:
@@ -48,8 +47,8 @@ def closed_form_ph_two_sides(h: int, epsilon: float, ratio_l: float, ratio_r: fl
 
 def closed_form_ph(h: int, epsilon: float, N_l: int, N_r: int, n_l: int, n_r: int) -> float:
     """The one-sided form at the marked side's fraction, or the two-sided form
-    at both; the counts are validated by :func:`robustwalk.reduced.build_model`."""
-    build_model(N_l, N_r, n_l, n_r)
+    at both; the counts are validated by :func:`robustwalk.schedule.check_counts`."""
+    check_counts(N_l, N_r, n_l, n_r)
     ratios = [n / N for N, n in ((N_l, n_l), (N_r, n_r)) if n]
     form = closed_form_ph_two_sides if len(ratios) == 2 else closed_form_ph_one_side
     return form(h, epsilon, *ratios)

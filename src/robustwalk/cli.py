@@ -12,9 +12,7 @@ an internal fault and propagates with its traceback.
 Input bounds: epsilon in (0, 1]; --nl/--nr in [1, 2**53], since the bound,
 the reduced model and the closed forms use N as a float; --h in [3, 10**7]
 and --hmax in [1, 10**7], which covers the N = 10**12 regime (h ~ 1.8e6 at
-epsilon = 0.1) with 80 MB per angle array.  ``sweep --config FILE`` turns
-each key=value line ('#' starts a comment) into a '--key=value' token for
-the sweep parser, ahead of the command-line flags, which therefore win.
+epsilon = 0.1) with 80 MB per angle array.
 
 All floating-point output uses 12 significant digits; CSV comment lines begin
 with '#'.  The sweep and schedule headers carry a fixed 'convention=appendix-c'
@@ -97,26 +95,6 @@ def _marked_sides(args):
     if args.nl is None or args.nr is None:
         raise UsageError("--nl and --nr are required")
     return _marked_ids(args.ml, args.nl, "--ml"), _marked_ids(args.mr, args.nr, "--mr")
-
-
-def _config_tokens(path: str, keys) -> list[str]:
-    """'--key=value' tokens from a flat key=value file; '#' starts a comment."""
-    tokens = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise UsageError(f"{path}:{lineno}: expected key=value, got {line!r}")
-                key, value = (part.strip() for part in line.split("=", 1))
-                if key not in keys:
-                    raise UsageError(f"unknown config key {key!r}")
-                tokens.append(f"--{key}={value}")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    return tokens
 
 
 def cmd_sweep(args) -> int:
@@ -221,7 +199,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--mode", choices=("robust", "oscillatory", "both"), default="both", help="curves to compute")
     sweep.add_argument("--engine", choices=("reduced", "full", "auto"), default="auto", help="simulation engine")
     sweep.add_argument("--out", help="output CSV path ('-' for stdout)")
-    sweep.add_argument("--config", help="key=value file of the flags above; flags override it")
     sweep.set_defaults(func=cmd_sweep)
 
     verify = sub.add_parser("verify", help="run all verification suites")
@@ -244,14 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-        if getattr(args, "config", None):
-            keys = vars(args).keys() - {"command", "func", "config"}
-            at = argv.index(args.command) + 1
-            args = parser.parse_args([*argv[:at], *_config_tokens(args.config, keys), *argv[at:]])
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

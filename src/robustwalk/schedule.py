@@ -18,6 +18,7 @@ closed-form verification suite is the guard against a wrong map.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -97,10 +98,12 @@ def oscillatory_schedule(h: int) -> AngleSchedule:
 
 
 def check_counts(N_l: int, N_r: int, n_l: int, n_r: int) -> None:
-    """Reject side sizes below 1, marked counts outside [0, N] and a graph
-    with no marked vertex."""
+    """Reject side sizes below 1, marked counts that are not integers or lie
+    outside [0, N], and a graph with no marked vertex."""
     if N_l < 1 or N_r < 1:
         raise ValueError("side sizes must be positive")
+    if not (isinstance(n_l, numbers.Integral) and isinstance(n_r, numbers.Integral)):
+        raise ValueError("marked counts must be integers")
     if not (0 <= n_l <= N_l and 0 <= n_r <= N_r):
         raise ValueError("marked counts out of range")
     if n_l < 1 and n_r < 1:

@@ -48,6 +48,8 @@ def test_closed_form_rejects_bad_inputs():
         closed_form_ph_two_sides(5, 0.1, 0.5, 1.5)
     with pytest.raises(ValueError):
         closed_form_ph(5, 0.1, 4, 4, 0, 0)
+    with pytest.raises(ValueError, match="integers"):
+        closed_form_ph(5, 0.1, 10, 10, 1.5, 0)
 
 
 def test_closed_form_matches_simulation_small_grid():

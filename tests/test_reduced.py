@@ -90,6 +90,8 @@ def test_build_model_rejects_empty_marking():
         build_model(5, 5, 6, 0)
     with pytest.raises(ValueError):
         build_model(0, 5, 0, 1)
+    with pytest.raises(ValueError, match="integers"):
+        build_model(10, 10, 1.5, 0)
 
 
 # ---------------------------------------------------------------------------

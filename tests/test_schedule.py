@@ -152,6 +152,10 @@ def test_bound_rejects_inconsistent_counts():
     for scenario in ((5, 0), (0, 5), (-2, 1), (1, -1)):
         with pytest.raises(ValueError, match="out of range"):
             step_bound_threshold(3, 4, scenario, 0.1)
+    # a count that is not an integer is rejected, not read as a fraction
+    for scenario in ((0.5, 1), (1, 1.5), (2.0, 0)):
+        with pytest.raises(ValueError, match="integers"):
+            step_bound_threshold(10, 10, scenario, 0.1)
     # a scenario is a pair: a short or long one is rejected, not truncated
     for scenario in ((1,), (1, 0, 7)):
         with pytest.raises(ValueError):
