@@ -124,6 +124,20 @@ MUTANTS = [
         ["tests/test_reduced.py::test_drift_names_the_step_past_a_chunk", "tests/test_cli.py::test_sweep_norm_drift_exits_1"],
     ),
     (
+        "drift message names the step before the drifted one",
+        "fullspace.py",
+        "for k, nrm in enumerate(norms(states), start=done + 1):",
+        "for k, nrm in enumerate(norms(states), start=done):",
+        ["tests/test_reduced.py::test_drift_names_the_step_past_a_chunk"],
+    ),
+    (
+        "block hit masses summed by einsum",
+        "reduced.py",
+        "return (rows.conj()[:, None, :] @ rows[:, :, None])[:, 0, 0].real",
+        'return np.einsum("ij,ij->i", rows.conj(), rows).real',
+        ["tests/test_reduced.py::test_block_hit_masses_equal_the_per_state_mass_bit_for_bit"],
+    ),
+    (
         "schedule reports a library ValueError as a usage error",
         "cli.py",
         "    sched = build_schedule(args.h, args.epsilon)\n",
@@ -136,8 +150,8 @@ MUTANTS = [
     (
         "dense coin with e^{+i alpha}",
         "dense.py",
-        "return S @ ((1.0 - np.exp(-1j * alpha)) * (P @ psi) - psi)",
-        "return S @ ((1.0 - np.exp(1j * alpha)) * (P @ psi) - psi)",
+        "return [S @ ((1.0 - np.exp(-1j * alpha)) * (P @ psi) - psi)]",
+        "return [S @ ((1.0 - np.exp(1j * alpha)) * (P @ psi) - psi)]",
         ["tests/test_dense.py::test_run_dense_matches_definitional_matrices"],
     ),
     (

@@ -103,13 +103,13 @@ def run_dense(instance: BipartiteInstance, schedule: AngleSchedule):
     def step(alpha, beta):
         def apply(psi):
             psi = np.where(marked, np.exp(1j * beta), 1.0 + 0.0j) * psi
-            return S @ ((1.0 - np.exp(-1j * alpha)) * (P @ psi) - psi)
+            return [S @ ((1.0 - np.exp(-1j * alpha)) * (P @ psi) - psi)]
 
         return apply
 
     return simulate(
         initial_vector(instance),
         map(step, schedule.alphas, schedule.betas),
-        lambda psi: float(np.sum(np.abs(psi[mask]) ** 2)),
-        np.linalg.norm,
+        lambda states: [float(np.sum(np.abs(psi[mask]) ** 2)) for psi in states],
+        lambda states: [np.linalg.norm(psi) for psi in states],
     )

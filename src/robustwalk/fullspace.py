@@ -125,20 +125,29 @@ class SuccessSeries:
         return self.entries[-1]
 
 
-def simulate(state, steps, probability, norm):
-    """Drive one walk: ``state = step(state)`` for each callable in ``steps``.
+def simulate(state, blocks, probabilities, norms):
+    """Drive one walk, a block of steps at a time.
 
-    ``probability(state)`` gives the success probability and ``norm(state)``
-    the state norm.  Returns the final state and the per-step success series
-    (entry 0 is the initial state).  Raises if unitarity drifts beyond 1e-10.
+    Each callable in ``blocks`` takes the state and returns the states after
+    each of its one or more steps; the last one is the new state.
+    ``probabilities(states)`` and ``norms(states)`` map a sequence of states to
+    lists of their success probabilities and norms, so an engine can take a
+    whole block's values in one vectorised pass.  Returns the final state and
+    the per-step success series (entry 0 is the initial state).  Raises, naming
+    the first such step, if unitarity drifts beyond 1e-10.  The check compares
+    plain floats: numpy calls on the one-step blocks of the full and dense
+    engines would cost more than the rest of a small step's bookkeeping.
     """
-    series = SuccessSeries([probability(state)])
-    for k, step in enumerate(steps, start=1):
-        state = step(state)
-        nrm = float(norm(state))
-        if abs(nrm - 1.0) > 1e-10:
-            raise AssertionError(f"norm drifted to {nrm!r} at step {k}")
-        series.entries.append(probability(state))
+    series = SuccessSeries(probabilities([state]))
+    done = 0
+    for block in blocks:
+        states = block(state)
+        for k, nrm in enumerate(norms(states), start=done + 1):
+            if abs(nrm - 1.0) > 1e-10:
+                raise AssertionError(f"norm drifted to {float(nrm)} at step {k}")
+        series.entries.extend(probabilities(states))
+        done += len(states)
+        state = states[-1]
     return state, series
 
 
@@ -225,11 +234,11 @@ def run(instance: BipartiteInstance, schedule: AngleSchedule):
     :func:`simulate` for the return value and the unitarity check."""
 
     def step(alpha, beta):
-        return lambda state: apply_shift(apply_coin(apply_oracle(state, beta, instance), alpha))
+        return lambda state: [apply_shift(apply_coin(apply_oracle(state, beta, instance), alpha))]
 
     return simulate(
         initial_state(instance),
         map(step, schedule.alphas, schedule.betas),
-        lambda state: success_probability(state, instance),
-        StateVector.norm,
+        lambda states: [success_probability(state, instance) for state in states],
+        lambda states: [state.norm() for state in states],
     )

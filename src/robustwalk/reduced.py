@@ -14,15 +14,17 @@ rotation/mixer factorization (R, A) behind the closed forms, and numerical
 verifiers for the operator identities and the product-form reduction of the
 final state.  The coin and oracle builders also take an array of angles and
 return a stack; :func:`run_reduced` forms each step's product S C Q from such
-stacks, a fixed number of steps at a time, and advances the state by one
-matrix-vector product per step.
+stacks, a fixed number of steps at a time.  Each stack is one block of the
+step driver: it advances the state one matrix-vector product per step and
+returns the block's states, whose norms and hit masses are then taken in one
+vectorised pass per block.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -163,30 +165,47 @@ def reduced_success_probability(state: np.ndarray, model: ReducedModel) -> float
     return float(np.vdot(hits, hits).real)
 
 
-_CHUNK = 64  # steps per stack of step matrices; a whole run's stack can take tens of MB
+def _squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row, as a batched product: it equals ``np.vdot`` of
+    the row with itself bit for bit, where einsum and abs^2 sums do not."""
+    return (rows.conj()[:, None, :] @ rows[:, :, None])[:, 0, 0].real
 
 
-def _steps(model: ReducedModel, schedule: AngleSchedule):
-    """One callable ``M @ state`` per scheduled step, M = S C(alpha_k) Q(beta_k).
+def reduced_success_probabilities(states, model: ReducedModel) -> list:
+    """:func:`reduced_success_probability` of each row of ``states``, bit for bit."""
+    return _squared_norms(np.asarray(states)[:, model.hit_indices]).tolist()
 
-    The matrices are built ``_CHUNK`` steps at a time, one builder call each.
-    """
+
+_CHUNK = 64  # steps per block; a whole run's stack of step matrices can take tens of MB
+
+
+def _advance(stack: np.ndarray, state: np.ndarray) -> np.ndarray:
+    """States after each step of ``stack``, one matrix-vector product per step."""
+    states = np.empty((len(stack), len(state)), dtype=complex)
+    for k, M in enumerate(stack):
+        state = states[k] = M.dot(state)
+    return states
+
+
+def _blocks(model: ReducedModel, schedule: AngleSchedule):
+    """One block callable per ``_CHUNK`` scheduled steps, from the stack of
+    their matrices S C(alpha_k) Q(beta_k), built with one builder call each."""
     S = shift_matrix(model)
     for start in range(0, schedule.h, _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        for M in S @ coin_matrix(model, schedule.alphas[chunk]) @ oracle_matrix(model, schedule.betas[chunk]):
-            yield M.__matmul__
+        stack = S @ coin_matrix(model, schedule.alphas[chunk]) @ oracle_matrix(model, schedule.betas[chunk])
+        yield partial(_advance, stack)
 
 
 def run_reduced(model: ReducedModel, schedule: AngleSchedule):
-    """Apply the scheduled steps inside the invariant subspace, one product
-    matrix per step; see :func:`robustwalk.fullspace.simulate` for the return
+    """Apply the scheduled steps inside the invariant subspace, a block of
+    steps at a time; see :func:`robustwalk.fullspace.simulate` for the return
     value and the unitarity check."""
     return simulate(
         reduced_initial_state(model),
-        _steps(model, schedule),
-        lambda state: reduced_success_probability(state, model),
-        lambda state: math.sqrt(np.vdot(state, state).real),
+        _blocks(model, schedule),
+        lambda states: reduced_success_probabilities(states, model),
+        lambda states: np.sqrt(_squared_norms(states)).tolist(),
     )
 
 

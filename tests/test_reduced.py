@@ -250,21 +250,53 @@ def test_run_reduced_matches_per_step_products_across_chunks(counts, h):
     np.testing.assert_allclose(state, psi, rtol=0, atol=1e-13)
 
 
-def test_drift_names_the_step_past_a_chunk(monkeypatch):
+@pytest.mark.parametrize("step", [1, 64, 65, 100])
+def test_drift_names_the_step_past_a_chunk(monkeypatch, step):
+    # the first step, the last of the first block, the first of the second
+    # and the last of the partial block of a 100-step run
     original = reduced.coin_matrix
     built = []
 
-    def scale_step_70(model, alphas):
+    def scale_one_step(model, alphas):
         stack = original(model, alphas)
-        k = 69 - len(built)
+        k = step - 1 - len(built)
         if 0 <= k < len(stack):
             stack[k] *= 1.001
         built.extend(alphas)
         return stack
 
-    monkeypatch.setattr(reduced, "coin_matrix", scale_step_70)
-    with pytest.raises(AssertionError, match=r"norm drifted to .* at step 70$"):
+    monkeypatch.setattr(reduced, "coin_matrix", scale_one_step)
+    with pytest.raises(AssertionError, match=rf"^norm drifted to 1\.00[0-9]* at step {step}$") as caught:
         run_reduced(build_model(*DIM8_COUNTS), oscillatory_schedule(100))
+    assert "np.float64" not in str(caught.value)
+
+
+@pytest.mark.parametrize("counts", [DIM4_COUNTS, DIM8_COUNTS], ids=["dim4", "dim8"])
+def test_block_hit_masses_equal_the_per_state_mass_bit_for_bit(counts):
+    model = build_model(*counts)
+    rng = np.random.default_rng(11)
+    states = rng.normal(size=(2000, model.dim)) + 1j * rng.normal(size=(2000, model.dim))
+    states /= np.linalg.norm(states, axis=1, keepdims=True)
+    masses = reduced.reduced_success_probabilities(states, model)
+    assert all(type(p) is float for p in masses)
+    np.testing.assert_array_equal(masses, [reduced.reduced_success_probability(psi, model) for psi in states])
+
+
+@pytest.mark.parametrize("counts", [DIM4_COUNTS, DIM8_COUNTS, (5, 4, 0, 2)], ids=["dim4", "dim8", "mirrored"])
+def test_run_reduced_equals_a_per_step_loop_bit_for_bit(counts):
+    model = build_model(*counts)
+    sched = build_schedule(150, 0.1)
+    psi = reduced_initial_state(model)
+    want = [reduced.reduced_success_probability(psi, model)]
+    S = shift_matrix(model)
+    for start in range(0, sched.h, 64):
+        chunk = slice(start, start + 64)
+        for M in S @ coin_matrix(model, sched.alphas[chunk]) @ oracle_matrix(model, sched.betas[chunk]):
+            psi = M @ psi
+            want.append(reduced.reduced_success_probability(psi, model))
+    state, series = run_reduced(model, sched)
+    assert series.entries == want
+    np.testing.assert_array_equal(state, psi)
 
 
 def test_epsilon_one_equals_oscillatory():
