@@ -176,18 +176,28 @@ MUTANTS = [
         ["tests/test_cli.py::test_marked_side_checks_exit_2_before_the_library_runs"],
     ),
     (
-        "missing --nl/--nr accepted",
+        "missing --nl accepted",
         "cli.py",
-        '    if args.nl is None or args.nr is None:\n        raise UsageError("--nl and --nr are required")\n',
-        "",
+        'graph.add_argument("--nl", type=_number(int, 0, MAX_SIDE), required=True,',
+        'graph.add_argument("--nl", type=_number(int, 0, MAX_SIDE),',
         ["tests/test_cli.py::test_marked_side_checks_exit_2_before_the_library_runs"],
     ),
     (
-        "step bound accepts counts outside [0, N]",
+        "step bound accepts counts above N",
         "schedule.py",
         '        raise ValueError("marked counts out of range")',
         "        pass",
         ["tests/test_schedule.py::test_bound_rejects_inconsistent_counts"],
+    ),
+    (
+        "negative marked counts accepted",
+        "schedule.py",
+        '        raise ValueError("marked counts out of range: a count is negative")',
+        "        pass",
+        [
+            "tests/test_schedule.py::test_bound_rejects_inconsistent_counts",
+            "tests/test_schedule.py::test_scenario_from_counts",
+        ],
     ),
     (
         "step bound pads a short scenario and truncates a long one",

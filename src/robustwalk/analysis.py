@@ -4,6 +4,15 @@ The closed forms take the marked fraction(s) and evaluate Chebyshev values at
 arguments x / gamma; when the step count is below the bound those arguments
 exceed 1 and the probability legitimately falls below the floor -- that is
 reported as-is, not treated as an error.
+
+Two marked sides never need more steps than one: for h >= 3, eps in (0, 1]
+and fractions r_l, r_r in (0, 1], P_two(h; r_l, r_r) >= max(P_one(h; r_l),
+P_one(h; r_r)).  Proof: x = sqrt(1 - r) gives 0 <= x/gamma_n <= 1/gamma_n;
+T_n^2 is at most 1 on [0, 1] and increases on [1, inf), and T_n(1/gamma_n) =
+1/sqrt(eps), so every factor T_n(x/gamma_n)^2 is at most 1/eps.  Bounding the
+left factor of each two-sided product (one for odd h, two for even h) by 1/eps
+leaves 1 - eps * mean over the grids of T_m(x_r/gamma_m)^2 = P_one(h; r_r);
+the right factors give P_one(h; r_l).  So the worst marking is one-sided.
 """
 
 from __future__ import annotations
@@ -64,31 +73,24 @@ class CompareRow:
     p_closed_form: float | None
 
 
-def sweep(
-    walk,
-    counts: tuple[int, int, int, int],
-    epsilon: float,
-    h_max: int,
-    h_min: int = 1,
-    robust: bool = True,
-    oscillatory: bool = True,
-) -> list[CompareRow]:
-    """Per-h success probabilities for h = h_min..h_max.
+def sweep(run, target, epsilon: float, h_max: int, robust: bool = True, oscillatory: bool = True) -> list[CompareRow]:
+    """Per-h success probabilities for h = 1..h_max.
 
-    ``walk(schedule)`` runs one schedule and returns (state, series), e.g.
-    ``functools.partial(run_reduced, model)``; ``counts`` = (N_l, N_r, n_l,
-    n_r) feed the closed form.  Each robust point (h >= 3) is a fresh h-step
-    run, since the schedule depends on h, paired with its closed form; the
-    oscillatory points come from a single h_max-step trajectory since its
-    angles are constant.
+    ``run(target, schedule)`` runs one schedule and returns (state, series):
+    ``fullspace.run`` on a ``BipartiteInstance``, ``run_reduced`` on a
+    ``ReducedModel`` or ``dense.run_dense``.  The closed form reads the marking
+    from the target's (N_l, N_r, n_l, n_r).  Each robust point (h >= 3) is a
+    fresh h-step run, since the schedule depends on h, paired with its closed
+    form; the oscillatory points come from a single h_max-step trajectory
+    since its angles are constant.
     """
-    osc = walk(oscillatory_schedule(h_max))[1].entries if oscillatory else None
+    counts = (target.N_l, target.N_r, target.n_l, target.n_r)
+    osc = run(target, oscillatory_schedule(h_max))[1].entries if oscillatory else None
     rows = []
-    for h in range(h_min, h_max + 1):
+    for h in range(1, h_max + 1):
         p_robust = p_closed_form = None
         if robust and h >= 3:
-            p_robust = walk(build_schedule(h, epsilon))[1].final()
+            p_robust = run(target, build_schedule(h, epsilon))[1].final()
             p_closed_form = closed_form_ph(h, epsilon, *counts)
-        rows.append(CompareRow(h, p_robust, osc[h] if oscillatory and h >= 0 else None, p_closed_form))
+        rows.append(CompareRow(h, p_robust, osc[h] if oscillatory else None, p_closed_form))
     return rows
-

@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from functools import partial
 
 from . import fullspace
 from .analysis import sweep
@@ -92,8 +91,6 @@ def _marked_ids(parsed, side_size: int, flag: str):
 
 def _marked_sides(args):
     """The marked ids of both sides, checked against the side sizes."""
-    if args.nl is None or args.nr is None:
-        raise UsageError("--nl and --nr are required")
     return _marked_ids(args.ml, args.nl, "--ml"), _marked_ids(args.mr, args.nr, "--mr")
 
 
@@ -106,14 +103,13 @@ def cmd_sweep(args) -> int:
     if engine == "auto":
         engine = "full" if 2 * args.nl * args.nr <= 20000 else "reduced"
 
-    counts = (args.nl, args.nr, len(left), len(right))
-    bound = step_bound(args.nl, args.nr, scenario_from_counts(*counts[2:]), args.epsilon)
+    bound = step_bound(args.nl, args.nr, scenario_from_counts(len(left), len(right)), args.epsilon)
     if engine == "full":
-        walk = partial(fullspace.run, BipartiteInstance(args.nl, args.nr, left, right))
+        run, target = fullspace.run, BipartiteInstance(args.nl, args.nr, left, right)
     else:
-        walk = partial(run_reduced, build_model(*counts))
+        run, target = run_reduced, build_model(args.nl, args.nr, len(left), len(right))
     robust, oscillatory = args.mode != "oscillatory", args.mode != "robust"
-    rows = sweep(walk, counts, args.epsilon, args.hmax, robust=robust, oscillatory=oscillatory)
+    rows = sweep(run, target, args.epsilon, args.hmax, robust=robust, oscillatory=oscillatory)
 
     lines = [
         f"# robustwalk sweep nl={args.nl} nr={args.nr} ml={len(left)} mr={len(right)} "
@@ -188,8 +184,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     epsilon = dict(type=_number(float, 0.0, 1.0), default=0.1, help="error floor in (0, 1] (default 0.1)")
     graph = _Parser(add_help=False)
-    graph.add_argument("--nl", type=_number(int, 0, MAX_SIDE), help="left side size (required)")
-    graph.add_argument("--nr", type=_number(int, 0, MAX_SIDE), help="right side size (required)")
+    graph.add_argument("--nl", type=_number(int, 0, MAX_SIDE), required=True, help="left side size")
+    graph.add_argument("--nr", type=_number(int, 0, MAX_SIDE), required=True, help="right side size")
     graph.add_argument("--ml", type=_marked, default=0, help="marked left: count or comma-separated ids")
     graph.add_argument("--mr", type=_marked, default=0, help="marked right: count or comma-separated ids")
     graph.add_argument("--epsilon", **epsilon)

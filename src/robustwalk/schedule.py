@@ -97,17 +97,23 @@ def oscillatory_schedule(h: int) -> AngleSchedule:
     return AngleSchedule(angles, angles.copy())
 
 
-def check_counts(N_l: int, N_r: int, n_l: int, n_r: int) -> None:
-    """Reject side sizes below 1, marked counts that are not integers or lie
-    outside [0, N], and a graph with no marked vertex."""
-    if N_l < 1 or N_r < 1:
-        raise ValueError("side sizes must be positive")
+def _check_marked(n_l: int, n_r: int) -> None:
+    """The count rules that need no side size: integers, none negative, one marked."""
     if not (isinstance(n_l, numbers.Integral) and isinstance(n_r, numbers.Integral)):
         raise ValueError("marked counts must be integers")
-    if not (0 <= n_l <= N_l and 0 <= n_r <= N_r):
-        raise ValueError("marked counts out of range")
+    if n_l < 0 or n_r < 0:
+        raise ValueError("marked counts out of range: a count is negative")
     if n_l < 1 and n_r < 1:
         raise ValueError("at least one marked vertex is required")
+
+
+def check_counts(N_l: int, N_r: int, n_l: int, n_r: int) -> None:
+    """:func:`_check_marked`, plus side sizes of at least 1 and counts of at most N."""
+    if N_l < 1 or N_r < 1:
+        raise ValueError("side sizes must be positive")
+    _check_marked(n_l, n_r)
+    if n_l > N_l or n_r > N_r:
+        raise ValueError("marked counts out of range")
 
 
 def step_bound_threshold(N_l: int, N_r: int, scenario: tuple[int, int], epsilon: float) -> float:
@@ -132,8 +138,5 @@ def step_bound(N_l: int, N_r: int, scenario: tuple[int, int], epsilon: float) ->
 
 def scenario_from_counts(n_l: int, n_r: int) -> tuple[int, int]:
     """The scenario (n_l, n_r) of explicit marked counts, after validating them."""
-    if n_l < 0 or n_r < 0:
-        raise ValueError("marked counts must be nonnegative")
-    if n_l + n_r < 1:
-        raise ValueError("at least one marked vertex is required")
+    _check_marked(n_l, n_r)
     return n_l, n_r

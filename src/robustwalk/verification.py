@@ -16,7 +16,6 @@ tolerance:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -127,9 +126,9 @@ def closed_form_suite() -> SuiteResult:
     count sets, one and two marked sides."""
     worst, worst_case, points = 0.0, "", 0
     for counts in ((30, 20, 1, 0), (17, 40, 3, 0), (50, 11, 10, 0), (8, 6, 1, 1), (12, 50, 2, 3)):
-        walk = partial(run_reduced, build_model(*counts))
+        model = build_model(*counts)
         for eps in (0.05, 0.1, 0.5, 1.0):
-            for row in sweep(walk, counts, eps, 20, 3, oscillatory=False):
+            for row in sweep(run_reduced, model, eps, 20, oscillatory=False)[2:]:  # robust from h = 3
                 dev = abs(row.p_robust - row.p_closed_form)
                 points += 1
                 if dev > worst:

@@ -351,8 +351,8 @@ def test_bad_input_exits_2_before_the_library_runs(argv):
         (["bound", "--nl", "3", "--nr", "4", "--ml", "5"], "--ml count 5 exceeds the side size 3"),
         (["sweep", "--nl", "3", "--nr", "4", "--ml", "5", "--hmax", "4"], "--ml count 5 exceeds the side size 3"),
         (["bound", "--nl", "3", "--nr", "4", "--mr", "5"], "--mr count 5 exceeds the side size 4"),
-        (["bound", "--nr", "4", "--ml", "1"], "--nl and --nr are required"),
-        (["sweep", "--nl", "3", "--ml", "1", "--hmax", "4"], "--nl and --nr are required"),
+        (["bound", "--nr", "4", "--ml", "1"], "the following arguments are required: --nl"),
+        (["sweep", "--nl", "3", "--ml", "1", "--hmax", "4"], "the following arguments are required: --nr"),
     ],
 )
 def test_marked_side_checks_exit_2_before_the_library_runs(capsys, argv, message):

@@ -48,3 +48,6 @@ def test_readme_library_example_runs():
     assert scope["h"] == 28
     assert abs(scope["p"] - scope["p_closed"]) <= 1e-9
     assert scope["p"] >= 1 - 0.1
+    assert [r.h for r in scope["rows"]] == list(range(1, 41))
+    assert min(r.p_robust for r in scope["past_bound"]) >= 1 - 0.1
+    assert min(r.p_oscillatory for r in scope["past_bound"]) < 1 - 0.1

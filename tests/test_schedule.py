@@ -171,3 +171,7 @@ def test_scenario_from_counts():
     for bad in ((0, 0), (-1, 3)):
         with pytest.raises(ValueError):
             scenario_from_counts(*bad)
+    # the same rules as check_counts: a count that is not an integer is rejected
+    for bad in ((0.5, 0.5), (1.5, 0), (0, 2.0)):
+        with pytest.raises(ValueError, match="integers"):
+            scenario_from_counts(*bad)
