@@ -77,8 +77,8 @@ MUTANTS = [
     (
         "plain rl column mean",
         "fullspace.py",
-        "np.subtract(c * _row_mean(rl_t), rl_t, out=rl_t)",
-        "np.subtract(c * rl_t.mean(axis=0), rl_t, out=rl_t)",
+        "np.subtract(c * (_row_sum(rl) / len(rl)), rl, out=rl)",
+        "np.subtract(c * rl.mean(axis=0), rl, out=rl)",
         ["tests/test_fullspace.py::test_coin_rl_mean_matches_fsum"],
     ),
     (
@@ -96,11 +96,18 @@ MUTANTS = [
         ["tests/test_fullspace.py::test_coin_block_size_keeps_rl_mean_within_3_ulps"],
     ),
     (
-        "np.ascontiguousarray dropped from _row_mean",
+        "np.ascontiguousarray dropped from _row_sum",
         "fullspace.py",
-        "block = np.ascontiguousarray(a[start:start + _BLOCK_ROWS])",
-        "block = a[start:start + _BLOCK_ROWS]",
+        "return np.ones(len(a)) @ np.ascontiguousarray(a)",
+        "return np.ones(len(a)) @ a",
         ["tests/test_fullspace.py::test_layouts_give_the_same_results"],
+    ),
+    (
+        "shift leaves the blocks in place",
+        "fullspace.py",
+        "state.lr, state.rl = state.rl, state.lr",
+        "state.lr, state.rl = state.lr, state.rl",
+        ["tests/test_fullspace.py::test_shift_moves_single_arc"],
     ),
     (
         "chunk one angle short",
@@ -223,6 +230,36 @@ MUTANTS = [
         '            raise ValueError("marked ids must be integers")',
         "            pass",
         ["tests/test_fullspace.py::test_instance_validation"],
+    ),
+    (
+        "non-integer side sizes accepted",
+        "schedule.py",
+        '        raise ValueError("side sizes must be integers")',
+        "        pass",
+        [
+            "tests/test_schedule.py::test_bound_rejects_inconsistent_counts",
+            "tests/test_analysis.py::test_closed_form_rejects_bad_inputs",
+        ],
+    ),
+    (
+        "non-integer step count accepted by gamma_params",
+        "chebyshev.py",
+        "if not isinstance(h, numbers.Integral) or h < 1:",
+        "if h < 1:",
+        [
+            "tests/test_schedule.py::test_bound_rejects_inconsistent_counts",
+            "tests/test_analysis.py::test_closed_form_rejects_bad_inputs",
+        ],
+    ),
+    (
+        "ReducedModel built without checking its counts",
+        "reduced.py",
+        "        check_counts(self.N_l, self.N_r, self.n_l, self.n_r)",
+        "        pass",
+        [
+            "tests/test_reduced.py::test_mixer_at_zero_angle_and_zero_mixing",
+            "tests/test_reduced.py::test_build_model_rejects_empty_marking",
+        ],
     ),
     (
         "one-sided basis drops the other side's marked class",

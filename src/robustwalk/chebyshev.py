@@ -17,6 +17,7 @@ The key objects are:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,8 +76,8 @@ def gamma_params(h: int, epsilon: float) -> GammaParams:
     """
     if not 0.0 < epsilon <= 1.0:
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    if h < 1:
-        raise ValueError(f"step count must be positive, got {h}")
+    if not isinstance(h, numbers.Integral) or h < 1:
+        raise ValueError(f"step count must be a positive integer, got {h}")
     inv_gamma = math.cosh(math.acosh(1.0 / math.sqrt(epsilon)) / h)
     return GammaParams(h, inv_gamma)
 

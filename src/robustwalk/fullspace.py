@@ -1,21 +1,16 @@
 """Brute-force state-vector simulator on the directed arcs of the graph.
 
 The state lives on the 2 * N_l * N_r directed arcs of the complete bipartite
-graph: ``lr[u, v]`` is the amplitude of the arc from left vertex u to right
-vertex v (position u, coin v) and ``rl[v, u]`` the reverse arc.  Amplitudes
-off the edge set are identically zero under every operator and so are never
-stored.  Operators are applied matrix-free: the coin via per-position neighbor
-means, the shift via a swap of transposed views, the oracle via a phase on
-marked rows.
+graph, held in two (N_l, N_r) blocks indexed by the edge [u, v]: ``lr[u, v]``
+is the amplitude of the arc from left vertex u to right vertex v (position u,
+coin v) and ``rl[u, v]`` that of the reverse arc (position v, coin u).
+Amplitudes off the edge set are identically zero under every operator and so
+are never stored.  Operators are applied matrix-free: the coin via
+per-position neighbor means, the shift via a swap of the two blocks, the
+oracle via a phase on marked rows of ``lr`` and marked columns of ``rl``.
 
 The three operators update the :class:`StateVector` they are given and return
 that same object; a caller that needs its input afterwards passes a copy.
-:func:`initial_state` stores ``rl`` as the transpose of a C-ordered
-(N_l, N_r) array, so both ``lr`` and ``rl.T`` are C-ordered and indexed
-[u, v].  The shift then only swaps the two views, and the layout is the same
-after every step.  A step works in one state plus a few coin row sums, and
-the coin reads each block of ``rl`` once.  Results do not depend on the
-layout; other layouts (a C-ordered ``rl``) only run slower.
 """
 
 from __future__ import annotations
@@ -23,7 +18,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 
@@ -93,22 +88,20 @@ _NORM_SLICE = 1 << 16
 class StateVector:
     """Unit-norm complex amplitudes over the directed arcs."""
 
-    lr: np.ndarray  # shape (N_l, N_r): arcs left -> right
-    rl: np.ndarray  # shape (N_r, N_l): arcs right -> left
+    lr: np.ndarray  # shape (N_l, N_r): lr[u, v] is the arc u -> v
+    rl: np.ndarray  # shape (N_l, N_r): rl[u, v] is the arc v -> u
 
     def norm(self) -> float:
         """Euclidean norm, from exactly added BLAS dot products over slices of
         ``_NORM_SLICE`` amplitudes.  One dot product over a whole block adds its
         terms nearly in sequence: at 10^4 x 10^4 that norm read 1 - 1.0e-10
         after one step, at the tolerance of the unitarity check."""
-        # memory order: a C-order ravel would copy an F-ordered rl
-        flats = (self.lr.ravel("K"), self.rl.ravel("K"))
+        flats = (self.lr.ravel(), self.rl.ravel())
         slices = (f[i:i + _NORM_SLICE] for f in flats for i in range(0, f.size, _NORM_SLICE))
         return math.sqrt(math.fsum(np.vdot(x, x).real for x in slices))
 
     def copy(self) -> "StateVector":
-        """Copy that keeps each block's memory layout."""
-        return StateVector(self.lr.copy(order="K"), self.rl.copy(order="K"))
+        return StateVector(self.lr.copy(), self.rl.copy())
 
 
 @dataclass
@@ -152,41 +145,33 @@ def simulate(state, blocks, probabilities, norms):
 
 
 def initial_state(instance: BipartiteInstance) -> StateVector:
-    """Uniform superposition over all directed arcs; ``rl`` is F-ordered."""
+    """Uniform superposition over all directed arcs."""
     amp = 1.0 / np.sqrt(2.0 * instance.N_l * instance.N_r)
-    return StateVector(
-        np.full((instance.N_l, instance.N_r), amp, dtype=complex),
-        np.full((instance.N_r, instance.N_l), amp, dtype=complex, order="F"),
-    )
+    shape = (instance.N_l, instance.N_r)
+    return StateVector(np.full(shape, amp, dtype=complex), np.full(shape, amp, dtype=complex))
 
 
 def apply_shift(state: StateVector) -> StateVector:
-    """Flip-flop shift, in place: amplitude of arc (u, v) moves to arc (v, u).
-
-    Swaps ``lr`` and ``rl`` as transposed views; nothing is copied, and an
-    F-ordered ``rl`` keeps ``lr`` C-ordered.
-    """
-    state.lr, state.rl = state.rl.T, state.lr.T
+    """Flip-flop shift, in place: amplitude of arc (u, v) moves to arc (v, u),
+    which swaps the two blocks; nothing is copied."""
+    state.lr, state.rl = state.rl, state.lr
     return state
 
 
 _BLOCK_ROWS = 32
 
 
-def _row_mean(a: np.ndarray) -> np.ndarray:
-    """Mean of the rows of ``a``: one BLAS product with a ones vector per block
-    of ``_BLOCK_ROWS`` rows reads each block once, and the block sums are added
-    pairwise as they come.  BLAS adds a block's rows in sequence, so blocks stay
-    short: 128-row blocks missed a ``math.fsum`` mean by over 3 ulps in up to
-    a fifth of random draws.  Contiguous blocks keep the result layout-independent."""
-    partials = []  # sums over 2**k blocks, k falling
-    for count, start in enumerate(range(0, len(a), _BLOCK_ROWS), start=1):
-        block = np.ascontiguousarray(a[start:start + _BLOCK_ROWS])
-        partials.append(np.ones(len(block)) @ block)
-        while count % 2 == 0:
-            partials.append(partials.pop(-2) + partials.pop())
-            count //= 2
-    return reduce(np.add, reversed(partials)) / len(a)
+def _row_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of the rows of ``a``: one BLAS product with a ones vector for at most
+    ``_BLOCK_ROWS`` rows, else the sums of two halves split at the largest
+    power-of-two number of blocks below the length, so the block sums are added
+    pairwise.  BLAS adds a block's rows in sequence, so blocks stay short:
+    128-row blocks missed a ``math.fsum`` mean by over 3 ulps in up to a fifth
+    of random draws.  Contiguous blocks keep the result layout-independent."""
+    if len(a) <= _BLOCK_ROWS:
+        return np.ones(len(a)) @ np.ascontiguousarray(a)
+    split = _BLOCK_ROWS << (((len(a) - 1) // _BLOCK_ROWS).bit_length() - 1)
+    return _row_sum(a[:split]) + _row_sum(a[split:])
 
 
 def apply_coin(state: StateVector, alpha: float) -> StateVector:
@@ -194,13 +179,13 @@ def apply_coin(state: StateVector, alpha: float) -> StateVector:
 
     On each position's coin register this is (1 - e^{-i alpha}) times the mean
     over neighbors, minus the amplitude itself.  ``lr`` takes numpy's row
-    means; the neighbors of a right position are a column of ``rl.T``, which
-    :func:`_row_mean` averages block by block, the block sums added pairwise.
+    means; the neighbors of a right position v are the column ``rl[:, v]``,
+    which :func:`_row_sum` adds block by block.
     """
     c = 1.0 - np.exp(-1j * alpha)
-    np.subtract(c * state.lr.mean(axis=1, keepdims=True), state.lr, out=state.lr)
-    rl_t = state.rl.T
-    np.subtract(c * _row_mean(rl_t), rl_t, out=rl_t)
+    lr, rl = state.lr, state.rl
+    np.subtract(c * lr.mean(axis=1, keepdims=True), lr, out=lr)
+    np.subtract(c * (_row_sum(rl) / len(rl)), rl, out=rl)
     return state
 
 
@@ -210,7 +195,7 @@ def apply_oracle(state: StateVector, beta: float, instance: BipartiteInstance) -
     if instance.marked_left:
         state.lr[instance.left_ids] *= phase
     if instance.marked_right:
-        state.rl.T[:, instance.right_ids] *= phase
+        state.rl[:, instance.right_ids] *= phase
     return state
 
 
@@ -218,12 +203,12 @@ def success_probability(state: StateVector, instance: BipartiteInstance) -> floa
     """Probability that measuring both registers yields a marked vertex.
 
     Sums |amplitude|^2 over arcs (u, v) with u marked or v marked: the marked
-    rows of ``lr`` and ``rl.T`` (both indexed [u, v]), plus their marked
-    columns outside the marked rows.
+    rows of ``lr`` and ``rl``, plus their marked columns outside the marked
+    rows.
     """
     rows, others, cols = instance.left_ids, instance.unmarked_left_ids[:, None], instance.right_ids
     total = 0.0
-    for block in (state.lr, state.rl.T):
+    for block in (state.lr, state.rl):
         for hits in (block[rows], block[others, cols]):
             total += np.vdot(hits, hits).real
     return float(total)

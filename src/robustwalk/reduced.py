@@ -50,13 +50,17 @@ class ReducedModel:
 
     ``labels`` is ``LABELS`` without the labels holding the marked class of
     an unmarked side.  It and the arrays derived from it and the class sizes
-    are computed once per model; the arrays are read-only.
+    are computed once per model; the arrays are read-only.  The counts are
+    checked by :func:`robustwalk.schedule.check_counts` at construction.
     """
 
     N_l: int
     N_r: int
     n_l: int
     n_r: int
+
+    def __post_init__(self):
+        check_counts(self.N_l, self.N_r, self.n_l, self.n_r)
 
     @cached_property
     def labels(self) -> tuple[str, ...]:
@@ -107,8 +111,7 @@ class ReducedModel:
 
 
 def build_model(N_l: int, N_r: int, n_l: int, n_r: int) -> ReducedModel:
-    """Reduced model from validated counts."""
-    check_counts(N_l, N_r, n_l, n_r)
+    """Reduced model of the counts, which :class:`ReducedModel` validates."""
     return ReducedModel(N_l, N_r, n_l, n_r)
 
 

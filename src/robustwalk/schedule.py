@@ -91,8 +91,8 @@ def build_schedule(h: int, epsilon: float) -> AngleSchedule:
 
 def oscillatory_schedule(h: int) -> AngleSchedule:
     """The plain walk-search schedule: every angle equals pi."""
-    if h < 1:
-        raise ValueError(f"step count must be positive, got {h}")
+    if not isinstance(h, numbers.Integral) or h < 1:
+        raise ValueError(f"step count must be a positive integer, got {h}")
     angles = np.full(h, np.pi)
     return AngleSchedule(angles, angles.copy())
 
@@ -108,7 +108,9 @@ def _check_marked(n_l: int, n_r: int) -> None:
 
 
 def check_counts(N_l: int, N_r: int, n_l: int, n_r: int) -> None:
-    """:func:`_check_marked`, plus side sizes of at least 1 and counts of at most N."""
+    """:func:`_check_marked`, plus integer side sizes of at least 1 and counts of at most N."""
+    if not (isinstance(N_l, numbers.Integral) and isinstance(N_r, numbers.Integral)):
+        raise ValueError("side sizes must be integers")
     if N_l < 1 or N_r < 1:
         raise ValueError("side sizes must be positive")
     _check_marked(n_l, n_r)

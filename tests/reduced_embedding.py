@@ -29,10 +29,13 @@ def reduced_basis_vectors(instance: BipartiteInstance) -> list[StateVector]:
         raise ValueError("every vertex class of the basis needs a vertex")
 
     def embed(p: str, c: str) -> StateVector:
-        state = StateVector(np.zeros((N_l, N_r), dtype=complex), np.zeros((N_r, N_l), dtype=complex))
+        state = StateVector(np.zeros((N_l, N_r), dtype=complex), np.zeros((N_l, N_r), dtype=complex))
         rows, cols = classes[p], classes[c]
-        block = state.lr if p in "uv" else state.rl
-        block[np.ix_(rows, cols)] = 1.0 / math.sqrt(len(rows) * len(cols))
+        amp = 1.0 / math.sqrt(len(rows) * len(cols))
+        if p in "uv":
+            state.lr[np.ix_(rows, cols)] = amp
+        else:  # rl is indexed [u, v]: its rows are the coin class
+            state.rl[np.ix_(cols, rows)] = amp
         return state
 
     return [embed(p, c) for p, c in labels]

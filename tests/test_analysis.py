@@ -18,6 +18,8 @@ from robustwalk.fullspace import BipartiteInstance
 from robustwalk.reduced import build_model, run_reduced
 from robustwalk.schedule import build_schedule, oscillatory_schedule
 
+import mp_closed_form
+
 FIG_COUNTS = (600, 1000, 10, 0)
 
 
@@ -54,6 +56,11 @@ def test_closed_form_rejects_bad_inputs():
         closed_form_ph(5, 0.1, 4, 4, 0, 0)
     with pytest.raises(ValueError, match="integers"):
         closed_form_ph(5, 0.1, 10, 10, 1.5, 0)
+    with pytest.raises(ValueError, match="side sizes must be integers"):
+        closed_form_ph(5, 0.1, 600.5, 1000, 10, 0)
+    for h in (5.5, 6.0):
+        with pytest.raises(ValueError, match="positive integer"):
+            closed_form_ph(h, 0.1, 600, 1000, 10, 0)
 
 
 def test_closed_form_matches_simulation_small_grid():
@@ -154,3 +161,21 @@ def test_two_sided_marking_never_needs_more_steps(h, epsilon, r_l, r_r):
     p_two = closed_form_ph_two_sides(h, epsilon, r_l, r_r)
     p_one = max(closed_form_ph_one_side(h, epsilon, r_l), closed_form_ph_one_side(h, epsilon, r_r))
     assert p_two - p_one >= -1e-12
+
+
+def test_two_sided_marking_never_needs_more_steps_at_scale():
+    # the same lemma on the 40-digit forms at the paper's scale, where the
+    # float forms lose digits: two sides at N_l = N never fall below either
+    # one-sided form, without a tolerance
+    rng = np.random.default_rng(24)
+    for N in (10**6, 10**8, 10**10, 10**12):
+        for epsilon in ("0.01", "0.1", "0.5"):
+            for n_l, n_r, N_r in ((1, 1, N), (1, 10, N), (1000, 1, 2 * N)):
+                bound = mp_closed_form.step_bound(epsilon, N, N_r, n_l, n_r)
+                for h in (3, bound // 2, bound, int(rng.integers(bound, 3 * bound + 1))):
+                    two = mp_closed_form.closed_form(h, epsilon, N, N_r, n_l, n_r)
+                    one = max(
+                        mp_closed_form.closed_form(h, epsilon, N, N_r, n_l, 0),
+                        mp_closed_form.closed_form(h, epsilon, N, N_r, 0, n_r),
+                    )
+                    assert two >= one, (N, epsilon, n_l, n_r, N_r, h, two - one)

@@ -23,20 +23,19 @@ from dense_reference import coin_matrix, oracle_matrix
 
 def random_state(rng, N_l, N_r):
     lr = rng.normal(size=(N_l, N_r)) + 1j * rng.normal(size=(N_l, N_r))
-    rl = rng.normal(size=(N_r, N_l)) + 1j * rng.normal(size=(N_r, N_l))
+    rl = rng.normal(size=(N_l, N_r)) + 1j * rng.normal(size=(N_l, N_r))
     s = StateVector(lr.astype(complex), rl.astype(complex))
     n = s.norm()
     return StateVector(s.lr / n, s.rl / n)
 
 
 def f_ordered(s):
-    """A copy with rl stored the way initial_state stores it: as the
-    transpose of a C-ordered (N_l, N_r) array."""
+    """A copy with rl F-ordered, a layout the results must not depend on."""
     return StateVector(np.array(s.lr, order="C"), np.array(s.rl, order="F"))
 
 
 def c_ordered(s):
-    """A copy with both blocks C-ordered."""
+    """A copy with both blocks C-ordered, the way initial_state stores them."""
     return StateVector(np.array(s.lr, order="C"), np.array(s.rl, order="C"))
 
 
@@ -92,10 +91,10 @@ def test_shift_is_involution():
 
 
 def test_shift_moves_single_arc():
-    s = StateVector(np.zeros((3, 2), dtype=complex), np.zeros((2, 3), dtype=complex))
+    s = StateVector(np.zeros((3, 2), dtype=complex), np.zeros((3, 2), dtype=complex))
     s.lr[1, 0] = 1.0
     t = apply_shift(s)
-    assert t.rl[0, 1] == 1.0
+    assert t.rl[1, 0] == 1.0
     assert np.count_nonzero(t.lr) == 0
     assert t.norm() == pytest.approx(1.0)
 
@@ -105,7 +104,7 @@ def test_coin_pi_is_grover_reflection():
     s = random_state(rng, 5, 3)
     t = apply_coin(s.copy(), np.pi)
     want_lr = 2.0 * s.lr.mean(axis=1, keepdims=True) - s.lr
-    want_rl = 2.0 * s.rl.mean(axis=1, keepdims=True) - s.rl
+    want_rl = 2.0 * s.rl.mean(axis=0, keepdims=True) - s.rl
     np.testing.assert_allclose(t.lr, want_lr, atol=1e-14)
     np.testing.assert_allclose(t.rl, want_rl, atol=1e-14)
 
@@ -169,67 +168,67 @@ def test_in_place_operators_match_their_definitions():
     # pairwise, so there the formula holds within 3 ulps
     inst = BipartiteInstance(5, 3, frozenset({1, 4}), frozenset({2}))
     rng = np.random.default_rng(13)
-    s = f_ordered(random_state(rng, 5, 3))
+    s = c_ordered(random_state(rng, 5, 3))
     alpha, beta = 1.1, -0.4
     c = 1.0 - np.exp(-1j * alpha)
     t = apply_coin(s.copy(), alpha)
     np.testing.assert_array_equal(t.lr, c * s.lr.mean(axis=1, keepdims=True) - s.lr)
     ulp = np.spacing(np.abs(s.rl).max())
-    np.testing.assert_allclose(t.rl, c * s.rl.mean(axis=1, keepdims=True) - s.rl, rtol=0, atol=3 * ulp)
+    np.testing.assert_allclose(t.rl, c * s.rl.mean(axis=0, keepdims=True) - s.rl, rtol=0, atol=3 * ulp)
     t = s.copy()
     lr, rl = t.lr, t.rl
     t = apply_shift(t)
-    np.testing.assert_array_equal(t.lr, s.rl.T)
-    np.testing.assert_array_equal(t.rl, s.lr.T)
-    # the shift swaps views: lr and rl.T stay C-ordered and nothing is copied
-    assert t.lr.flags.c_contiguous and t.rl.T.flags.c_contiguous
+    np.testing.assert_array_equal(t.lr, s.rl)
+    np.testing.assert_array_equal(t.rl, s.lr)
+    # the shift swaps the blocks: both stay C-ordered and nothing is copied
+    assert t.lr.flags.c_contiguous and t.rl.flags.c_contiguous
     assert np.shares_memory(t.lr, rl) and np.shares_memory(t.rl, lr)
     t = apply_oracle(s.copy(), beta, inst)
     phase = np.exp(1j * beta)
     np.testing.assert_array_equal(t.lr[[1, 4]], s.lr[[1, 4]] * phase)
     np.testing.assert_array_equal(t.lr[[0, 2, 3]], s.lr[[0, 2, 3]])
-    np.testing.assert_array_equal(t.rl[[2]], s.rl[[2]] * phase)
-    np.testing.assert_array_equal(t.rl[[0, 1]], s.rl[[0, 1]])
+    np.testing.assert_array_equal(t.rl[:, [2]], s.rl[:, [2]] * phase)
+    np.testing.assert_array_equal(t.rl[:, [0, 1]], s.rl[:, [0, 1]])
 
 
 def test_initial_state_layout_survives_steps():
     inst = BipartiteInstance.from_counts(40, 7, 2, 1)
     s = initial_state(inst)
     for _ in range(3):
-        assert s.lr.flags.c_contiguous and s.rl.T.flags.c_contiguous
+        assert s.lr.flags.c_contiguous and s.rl.flags.c_contiguous
         apply_shift(apply_coin(apply_oracle(s, 0.3, inst), 0.9))
-    assert s.copy().rl.T.flags.c_contiguous
+    assert s.copy().rl.flags.c_contiguous
 
 
 def test_coin_rl_mean_matches_fsum():
-    # 3000 neighbors per right position: adding the rows of rl.T one by one
+    # 3000 neighbors per right position: adding the rows of rl one by one
     # (a plain axis-0 mean) is 8.7 ulps off here, the blocked mean 1 ulp
     N_l, N_r = 3000, 4
     rng = np.random.default_rng(14)
-    rl_t = (1.0 + 0.25 * rng.normal(size=(N_l, N_r))) + 1j * (2.0 + 0.25 * rng.normal(size=(N_l, N_r)))
-    s = StateVector(np.zeros((N_l, N_r), dtype=complex), rl_t.copy().T)
+    rl = (1.0 + 0.25 * rng.normal(size=(N_l, N_r))) + 1j * (2.0 + 0.25 * rng.normal(size=(N_l, N_r)))
+    s = StateVector(np.zeros((N_l, N_r), dtype=complex), rl.copy())
     alpha = 1.1
     c = 1.0 - np.exp(-1j * alpha)
-    mean = np.array([complex(math.fsum(col.real), math.fsum(col.imag)) / N_l for col in rl_t.T])
+    mean = np.array([complex(math.fsum(col.real), math.fsum(col.imag)) / N_l for col in rl.T])
     got = apply_coin(s, alpha).rl
-    ulp = np.spacing(np.abs(rl_t).max())
-    np.testing.assert_allclose(got, c * mean[:, None] - rl_t.T, rtol=0, atol=3 * ulp)
+    ulp = np.spacing(np.abs(rl).max())
+    np.testing.assert_allclose(got, c * mean - rl, rtol=0, atol=3 * ulp)
 
 
 @pytest.mark.parametrize("N_l, N_r", [(1, 7), (31, 7), (32, 7), (33, 7), (3 * 32 + 5, 7), (389, 7), (64, 2000)])
 def test_coin_rl_mean_across_block_edges(N_l, N_r):
-    # the coin sums rl.T in 32-row blocks: one partial block, one full block,
+    # the coin sums rl in 32-row blocks: one partial block, one full block,
     # a partial last block, odd block counts carried through the pairwise
     # additions, and a BLAS product over 2000 columns
     rng = np.random.default_rng(16)
-    rl_t = (1.0 + 0.25 * rng.normal(size=(N_l, N_r))) + 1j * (2.0 + 0.25 * rng.normal(size=(N_l, N_r)))
-    s = StateVector(np.zeros((N_l, N_r), dtype=complex), rl_t.copy().T)
+    rl = (1.0 + 0.25 * rng.normal(size=(N_l, N_r))) + 1j * (2.0 + 0.25 * rng.normal(size=(N_l, N_r)))
+    s = StateVector(np.zeros((N_l, N_r), dtype=complex), rl.copy())
     alpha = 1.1
     c = 1.0 - np.exp(-1j * alpha)
-    mean = np.array([complex(math.fsum(col.real), math.fsum(col.imag)) / N_l for col in rl_t.T])
+    mean = np.array([complex(math.fsum(col.real), math.fsum(col.imag)) / N_l for col in rl.T])
     got = apply_coin(s, alpha).rl
-    ulp = np.spacing(np.abs(rl_t).max())
-    np.testing.assert_allclose(got, c * mean[:, None] - rl_t.T, rtol=0, atol=3 * ulp)
+    ulp = np.spacing(np.abs(rl).max())
+    np.testing.assert_allclose(got, c * mean - rl, rtol=0, atol=3 * ulp)
 
 
 def test_coin_block_size_keeps_rl_mean_within_3_ulps():
@@ -242,16 +241,16 @@ def test_coin_block_size_keeps_rl_mean_within_3_ulps():
     misses = 0
     for _ in range(100):
         N_l, N_r = int(rng.integers(101, 130)), 7
-        rl_t = (1.0 + 0.25 * rng.normal(size=(N_l, N_r))) + 1j * (2.0 + 0.25 * rng.normal(size=(N_l, N_r)))
-        s = StateVector(np.zeros((N_l, N_r), dtype=complex), rl_t.copy().T)
-        mean = np.array([complex(math.fsum(col.real), math.fsum(col.imag)) / N_l for col in rl_t.T])
-        err = np.abs(apply_coin(s, alpha).rl - (c * mean[:, None] - rl_t.T)).max()
-        misses += err > 3 * np.spacing(np.abs(rl_t).max())
+        rl = (1.0 + 0.25 * rng.normal(size=(N_l, N_r))) + 1j * (2.0 + 0.25 * rng.normal(size=(N_l, N_r)))
+        s = StateVector(np.zeros((N_l, N_r), dtype=complex), rl.copy())
+        mean = np.array([complex(math.fsum(col.real), math.fsum(col.imag)) / N_l for col in rl.T])
+        err = np.abs(apply_coin(s, alpha).rl - (c * mean - rl)).max()
+        misses += err > 3 * np.spacing(np.abs(rl).max())
     assert misses <= 2
 
 
 def test_layouts_give_the_same_results(monkeypatch):
-    # 70 rows of rl.T are three coin blocks, so the block sums are added pairwise
+    # 70 rows of rl are three coin blocks, so the block sums are added pairwise
     _check_layouts_agree(monkeypatch, 70)
 
 
@@ -272,10 +271,10 @@ def _check_layouts_agree(monkeypatch, N_l):
         np.testing.assert_array_equal(a.rl, b.rl)
         assert success_probability(a, inst) == pytest.approx(success_probability(b, inst), rel=0, abs=1e-15)
     sched = build_schedule(9, 0.2)
-    _, f_series = run(inst, sched)
-    original = fullspace.initial_state
-    monkeypatch.setattr(fullspace, "initial_state", lambda instance: c_ordered(original(instance)))
     _, c_series = run(inst, sched)
+    original = fullspace.initial_state
+    monkeypatch.setattr(fullspace, "initial_state", lambda instance: f_ordered(original(instance)))
+    _, f_series = run(inst, sched)
     np.testing.assert_allclose(c_series.probabilities(), f_series.probabilities(), rtol=0, atol=1e-15)
 
 

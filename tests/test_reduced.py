@@ -92,6 +92,8 @@ def test_build_model_rejects_empty_marking():
         build_model(0, 5, 0, 1)
     with pytest.raises(ValueError, match="integers"):
         build_model(10, 10, 1.5, 0)
+    with pytest.raises(ValueError, match="side sizes must be integers"):
+        build_model(600.5, 1000, 10, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -359,10 +361,14 @@ def test_rotation_inverse_pair():
 
 
 def test_mixer_at_zero_angle_and_zero_mixing():
-    flat = ReducedModel(N_l=5, N_r=4, n_l=0, n_r=0)
-    assert flat.labels == ("vs", "sv") and flat.size("u") == 0
-    np.testing.assert_allclose(mixer_a(flat, 0.0), np.eye(2), atol=1e-15)
-    np.testing.assert_allclose(mixer_a(flat, 1.3), np.eye(2), atol=1e-15)
+    # an unmarked model, whose mixer would be the identity, is rejected at
+    # construction like every model the counts do not describe
+    with pytest.raises(ValueError, match="at least one marked"):
+        ReducedModel(N_l=5, N_r=4, n_l=0, n_r=0)
+    with pytest.raises(ValueError, match="integers"):
+        ReducedModel(5, 4, 1.5, 0)
+    with pytest.raises(ValueError, match="out of range"):
+        ReducedModel(5, 4, 7, 0)
 
 
 def test_mixer_phase_steering():

@@ -160,6 +160,14 @@ def test_bound_rejects_inconsistent_counts():
     for scenario in ((1,), (1, 0, 7)):
         with pytest.raises(ValueError):
             step_bound_threshold(10, 10, scenario, 0.1)
+    # a side size or step count that is not an integer is rejected, not rounded
+    with pytest.raises(ValueError, match="side sizes must be integers"):
+        step_bound(600.5, 1000, (10, 0), 0.1)
+    for h in (5.5, 6.0):
+        with pytest.raises(ValueError, match="positive integer"):
+            build_schedule(h, 0.1)
+        with pytest.raises(ValueError, match="positive integer"):
+            oscillatory_schedule(h)
     with pytest.raises(ValueError):
         AngleSchedule(np.zeros(3), np.zeros(2))
 
