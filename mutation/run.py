@@ -242,7 +242,7 @@ MUTANTS = [
         ],
     ),
     (
-        "non-integer step count accepted by gamma_params",
+        "non-integer step count accepted by check_steps",
         "chebyshev.py",
         "if not isinstance(h, numbers.Integral) or h < 1:",
         "if h < 1:",
@@ -260,6 +260,34 @@ MUTANTS = [
             "tests/test_reduced.py::test_mixer_at_zero_angle_and_zero_mixing",
             "tests/test_reduced.py::test_build_model_rejects_empty_marking",
         ],
+    ),
+    (
+        "BipartiteInstance built without checking its side sizes",
+        "fullspace.py",
+        "        check_sides(self.N_l, self.N_r)\n",
+        "",
+        ["tests/test_fullspace.py::test_instance_validation"],
+    ),
+    (
+        "robust grids accept h < 3",
+        "schedule.py",
+        '        raise ValueError(f"robust walks need h >= 3, got {h}")',
+        "        pass",
+        ["tests/test_reduced.py::test_reduction_rejects_oscillatory_schedule"],
+    ),
+    (
+        "collapse phases accept a non-integer step count",
+        "chebyshev.py",
+        "    check_steps(h)\n    if not 0.0 < gamma <= 1.0:",
+        "    if not 0.0 < gamma <= 1.0:",
+        ["tests/test_chebyshev.py::test_gamma_rejects_bad_inputs"],
+    ),
+    (
+        "sweep runs before checking epsilon",
+        "analysis.py",
+        "    check_epsilon(epsilon)\n    counts",
+        "    counts",
+        ["tests/test_analysis.py::test_sweep_single_row"],
     ),
     (
         "one-sided basis drops the other side's marked class",

@@ -20,20 +20,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .chebyshev import chebyshev_t
+from .chebyshev import chebyshev_t, check_epsilon
 from .schedule import build_schedule, check_counts, gamma_grids, oscillatory_schedule
 
 
 def _grid_terms(h: int, epsilon: float, *ratios: float) -> list[list[float]]:
     """T_n(x/gamma_n)^2 with x = sqrt(1 - ratio) over the grids n of an h-step
-    walk, one list per marked fraction."""
-    if h < 3:
-        raise ValueError(f"closed forms need h >= 3, got {h}")
+    walk, one list per marked fraction; :func:`gamma_grids` checks h and epsilon."""
+    grids = gamma_grids(h, epsilon)
     for r in ratios:
         if not 0.0 < r <= 1.0:
             raise ValueError(f"marked fractions must be in (0, 1], got {r}")
     xs = [math.sqrt(1.0 - r) for r in ratios]
-    grids = gamma_grids(h, epsilon)
     return [[chebyshev_t(g.h, x * g.inv_gamma) ** 2 for g in grids] for x in xs]
 
 
@@ -82,8 +80,9 @@ def sweep(run, target, epsilon: float, h_max: int, robust: bool = True, oscillat
     from the target's (N_l, N_r, n_l, n_r).  Each robust point (h >= 3) is a
     fresh h-step run, since the schedule depends on h, paired with its closed
     form; the oscillatory points come from a single h_max-step trajectory
-    since its angles are constant.
+    since its angles are constant.  Epsilon is checked before the first run.
     """
+    check_epsilon(epsilon)
     counts = (target.N_l, target.N_r, target.n_l, target.n_r)
     osc = run(target, oscillatory_schedule(h_max))[1].entries if oscillatory else None
     rows = []

@@ -68,16 +68,26 @@ class GammaParams:
         return 1.0 / self.inv_gamma
 
 
+def check_steps(h: int) -> None:
+    """The one owner of the step-count rule: h is a positive integer."""
+    if not isinstance(h, numbers.Integral) or h < 1:
+        raise ValueError(f"step count must be a positive integer, got {h}")
+
+
+def check_epsilon(epsilon: float) -> None:
+    """The one owner of the error-floor rule: epsilon is in (0, 1]."""
+    if not 0.0 < epsilon <= 1.0:
+        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+
+
 def gamma_params(h: int, epsilon: float) -> GammaParams:
     """Compute gamma for an h-step schedule with error floor epsilon.
 
     Evaluated entirely in real arithmetic via cosh/arccosh; for epsilon = 1
     gamma is exactly 1.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
-    if not isinstance(h, numbers.Integral) or h < 1:
-        raise ValueError(f"step count must be a positive integer, got {h}")
+    check_epsilon(epsilon)
+    check_steps(h)
     inv_gamma = math.cosh(math.acosh(1.0 / math.sqrt(epsilon)) / h)
     return GammaParams(h, inv_gamma)
 
@@ -96,8 +106,7 @@ def collapse_phases(h: int, gamma: float) -> np.ndarray:
     zeta_{k+1} - zeta_k = (-1)^k pi - grid_angle(k, h, gamma) for k = 1..h-1.
     For odd h, k pi / h never hits pi/2, so tan stays finite.
     """
-    if h < 1:
-        raise ValueError(f"step count must be positive, got {h}")
+    check_steps(h)
     if not 0.0 < gamma <= 1.0:
         raise ValueError(f"gamma must be in (0, 1], got {gamma}")
     k = np.arange(1, h)

@@ -22,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .schedule import AngleSchedule
+from .schedule import AngleSchedule, check_sides
 
 
 def _frozen_ids(ids) -> np.ndarray:
@@ -41,8 +41,7 @@ class BipartiteInstance:
     marked_right: frozenset = frozenset()
 
     def __post_init__(self):
-        if self.N_l < 1 or self.N_r < 1:
-            raise ValueError("side sizes must be positive")
+        check_sides(self.N_l, self.N_r)
         object.__setattr__(self, "marked_left", frozenset(self.marked_left))
         object.__setattr__(self, "marked_right", frozenset(self.marked_right))
         if not all(isinstance(i, numbers.Integral) for i in self.marked_left | self.marked_right):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chebyshev import GammaParams, gamma_params, grid_angle
+from .chebyshev import GammaParams, check_epsilon, check_steps, gamma_params, grid_angle
 
 
 @dataclass(frozen=True)
@@ -65,9 +65,11 @@ class AngleSchedule:
 
 
 def gamma_grids(h: int, epsilon: float) -> tuple[GammaParams, ...]:
-    """The Chebyshev grids of an h-step walk: (gamma_h,) for odd h and
-    (gamma_{h+1}, gamma_{h-1}) for even h.  Even steps use the first grid and
-    odd steps the last."""
+    """The Chebyshev grids of an h-step robust walk, which needs h >= 3: (gamma_h,)
+    for odd h and (gamma_{h+1}, gamma_{h-1}) for even h, each checked by
+    ``gamma_params``.  Even steps use the first grid and odd steps the last."""
+    if h < 3:
+        raise ValueError(f"robust walks need h >= 3, got {h}")
     if h % 2:
         return (gamma_params(h, epsilon),)
     return gamma_params(h + 1, epsilon), gamma_params(h - 1, epsilon)
@@ -79,8 +81,6 @@ def build_schedule(h: int, epsilon: float) -> AngleSchedule:
     alpha_1 = 0 and alpha_k = grid_angle(j, n, gamma_n) with j = 2 floor(k/2),
     where n is the grid of step k's parity; beta_h = 0.
     """
-    if h < 3:
-        raise ValueError(f"robust schedules need h >= 3, got {h}")
     grids = gamma_grids(h, epsilon)
     alphas = np.zeros(h)
     alphas[1::2] = grid_angle(np.arange(2, h + 1, 2), grids[0].h, grids[0].gamma)
@@ -91,29 +91,34 @@ def build_schedule(h: int, epsilon: float) -> AngleSchedule:
 
 def oscillatory_schedule(h: int) -> AngleSchedule:
     """The plain walk-search schedule: every angle equals pi."""
-    if not isinstance(h, numbers.Integral) or h < 1:
-        raise ValueError(f"step count must be a positive integer, got {h}")
+    check_steps(h)
     angles = np.full(h, np.pi)
     return AngleSchedule(angles, angles.copy())
 
 
-def _check_marked(n_l: int, n_r: int) -> None:
-    """The count rules that need no side size: integers, none negative, one marked."""
+def scenario_from_counts(n_l: int, n_r: int) -> tuple[int, int]:
+    """The scenario (n_l, n_r), after the count rules needing no side size: integers, none negative, one marked."""
     if not (isinstance(n_l, numbers.Integral) and isinstance(n_r, numbers.Integral)):
         raise ValueError("marked counts must be integers")
     if n_l < 0 or n_r < 0:
         raise ValueError("marked counts out of range: a count is negative")
     if n_l < 1 and n_r < 1:
         raise ValueError("at least one marked vertex is required")
+    return n_l, n_r
 
 
-def check_counts(N_l: int, N_r: int, n_l: int, n_r: int) -> None:
-    """:func:`_check_marked`, plus integer side sizes of at least 1 and counts of at most N."""
+def check_sides(N_l: int, N_r: int) -> None:
+    """The one owner of the side-size rule: both sizes are integers of at least 1."""
     if not (isinstance(N_l, numbers.Integral) and isinstance(N_r, numbers.Integral)):
         raise ValueError("side sizes must be integers")
     if N_l < 1 or N_r < 1:
         raise ValueError("side sizes must be positive")
-    _check_marked(n_l, n_r)
+
+
+def check_counts(N_l: int, N_r: int, n_l: int, n_r: int) -> None:
+    """Every count rule: :func:`check_sides`, :func:`scenario_from_counts` and n <= N per side."""
+    check_sides(N_l, N_r)
+    scenario_from_counts(n_l, n_r)
     if n_l > N_l or n_r > N_r:
         raise ValueError("marked counts out of range")
 
@@ -125,8 +130,7 @@ def step_bound_threshold(N_l: int, N_r: int, scenario: tuple[int, int], epsilon:
     ``scenario`` is the pair of marked counts (n_l, n_r), 0 for an unmarked
     side.  Unknown counts are (1, 1): one marked vertex per side is the worst case.
     """
-    if not 0.0 < epsilon <= 1.0:
-        raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
+    check_epsilon(epsilon)
     n_l, n_r = scenario
     check_counts(N_l, N_r, n_l, n_r)
     ratios = [N / n for N, n in ((N_l, n_l), (N_r, n_r)) if n >= 1]
@@ -136,9 +140,3 @@ def step_bound_threshold(N_l: int, N_r: int, scenario: tuple[int, int], epsilon:
 def step_bound(N_l: int, N_r: int, scenario: tuple[int, int], epsilon: float) -> int:
     """Smallest integer step count meeting the threshold for this scenario."""
     return math.ceil(step_bound_threshold(N_l, N_r, scenario, epsilon))
-
-
-def scenario_from_counts(n_l: int, n_r: int) -> tuple[int, int]:
-    """The scenario (n_l, n_r) of explicit marked counts, after validating them."""
-    _check_marked(n_l, n_r)
-    return n_l, n_r

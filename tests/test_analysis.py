@@ -102,6 +102,17 @@ def test_sweep_single_row():
     rows = sweep(run_reduced, build_model(8, 6, 2, 0), epsilon=0.2, h_max=3)
     assert [r.h for r in rows] == [1, 2, 3]
     assert None not in (rows[-1].p_robust, rows[-1].p_oscillatory, rows[-1].p_closed_form)
+    # a bad epsilon is rejected before the first run, also when no robust point is reached
+    calls = []
+
+    def spy(target, schedule):
+        calls.append(schedule.h)
+        return run_reduced(target, schedule)
+
+    for h_max in (40, 2):
+        with pytest.raises(ValueError, match="epsilon"):
+            sweep(spy, build_model(5, 4, 1, 0), 2.0, h_max)
+    assert calls == []
 
 
 def test_sweep_leaves_uncomputed_curves_empty():

@@ -108,7 +108,7 @@ def test_gamma_rejects_bad_inputs():
         gamma_params(5, 1.5)
     with pytest.raises(ValueError):
         gamma_params(0, 0.5)
-    for h, gamma in ((0, 0.5), (5, 0.0), (5, 1.5)):
+    for h, gamma in ((0, 0.5), (5.5, 0.9), (5, 0.0), (5, 1.5)):
         with pytest.raises(ValueError):
             collapse_phases(h, gamma)
 

@@ -78,6 +78,10 @@ def test_instance_validation():
     # a non-integer id is rejected, not truncated into a duplicate of id 1
     with pytest.raises(ValueError, match="integers"):
         BipartiteInstance(3, 3, {1.5, 1})
+    # a side size that is not an integer is rejected at construction, not in the engines
+    for N_l, N_r in ((600.5, 10), (np.float64(3.0), 2)):
+        with pytest.raises(ValueError, match="side sizes must be integers"):
+            BipartiteInstance(N_l, N_r, {1})
     inst = BipartiteInstance(3, 3, {np.int64(1)}, {np.intp(0)})
     assert inst.left_ids.tolist() == [1] and inst.right_ids.tolist() == [0]
 

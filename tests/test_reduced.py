@@ -421,3 +421,8 @@ def test_reduction_form_matches_stepped_state(counts, h, eps):
 def test_reduction_rejects_oscillatory_schedule():
     with pytest.raises(ValueError):
         verify_reduction(build_model(*DIM4_COUNTS), oscillatory_schedule(5))
+    # a robust walk needs h >= 3, also for a hand-built robust-labelled schedule
+    with pytest.raises(ValueError, match="h >= 3"):
+        gamma_grids(2, 0.1)
+    with pytest.raises(ValueError, match="h >= 3"):
+        verify_reduction(build_model(*DIM4_COUNTS), AngleSchedule(np.zeros(2), np.zeros(2), 0.1))
